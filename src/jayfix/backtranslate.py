@@ -428,7 +428,10 @@ def run_loop(
                 vocab=vocab, iteration=iteration,
             )
         except Exception as err:
-            raise RuntimeError(f"back-translation iteration {iteration} failed: {err}") from err
+            # keep the type, which the CLI maps to an exit code, and name the
+            # iteration in a note (BaseException.add_note needs Python 3.11)
+            err.__notes__ = [*getattr(err, "__notes__", ()), f"in back-translation iteration {iteration}"]
+            raise
         assert len(store) >= before, "store must never shrink"
         known = {(s.base_name, s.program.text, s.region) for s in bug_seeds}
         for seed in new_seeds:

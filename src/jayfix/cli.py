@@ -27,7 +27,7 @@ from .corpus import (
     split_holdout,
 )
 from .critics import CriticKind, FAMILIES, POLARITY_BUGGY, filter_candidates
-from .evaluate import RepairTask, evaluate, repair, tasks_from_corpus
+from .evaluate import RepairTask, assess, evaluate, repair, tasks_from_corpus
 from .mechanical import DEFAULT_RULES, generate_mechanical_dataset
 from .minilang import (
     Ast,
@@ -36,9 +36,7 @@ from .minilang import (
     Span,
     TestSuite,
     analyze,
-    ast_equal_normalized,
     enumerate_statement_locations,
-    run_tests,
     splice_region,
 )
 from .model import (
@@ -302,40 +300,25 @@ def cmd_repair(args) -> int:
         reference_ast, diags = analyze(reference)
         if reference_ast is None or diags:
             raise DataError("reference program does not compile")
-    rep_cfg = cfg.representation_config()
+    task = RepairTask(
+        name=program.name,
+        buggy=program,
+        suite=suite if suite is not None else TestSuite(()),
+        fault_span=span,
+        reference=reference if reference is not None else program,
+        reference_ast=reference_ast if reference_ast is not None else Ast(()),
+    )
     try:
-        candidates = repair(
-            fixer,
-            RepairTask(
-                name=program.name,
-                buggy=program,
-                suite=suite if suite is not None else TestSuite(()),
-                fault_span=span,
-                reference=reference if reference is not None else program,
-                reference_ast=reference_ast if reference_ast is not None else Ast(()),
-            ),
-            k=cfg.eval_k,
-            rep_cfg=rep_cfg,
-            vocab=vocab,
-        )
+        candidates = repair(fixer, task, k=cfg.eval_k, rep_cfg=cfg.representation_config(), vocab=vocab)
     except RegionTooLong as err:
         raise DataError(str(err)) from err
     out_dir = Path(args.out) if args.out else Path("patches")
     out_dir.mkdir(parents=True, exist_ok=True)
-    for candidate in candidates:
-        ast, diagnostics = analyze(candidate.program)
-        compiles = ast is not None and not diagnostics
-        plausible = False
-        if compiles and suite is not None:
-            plausible = run_tests(ast, suite, fuel=cfg.fuel).all_pass
-        correct = (
-            compiles
-            and plausible
-            and reference_ast is not None
-            and ast is not None
-            and ast_equal_normalized(ast, reference_ast)
-        )
-        verdict = "correct" if correct else "plausible" if plausible else "compiles" if compiles else "broken"
+    for candidate, assessment in zip(candidates, assess(candidates, task, fuel=cfg.fuel)):
+        # the empty stand-in suite passes vacuously, and the stand-in reference is no fix
+        plausible = assessment.plausible and suite is not None
+        correct = assessment.correct and plausible and reference_ast is not None
+        verdict = "correct" if correct else "plausible" if plausible else "compiles" if assessment.compiles else "broken"
         print(f"#{candidate.rank:>3} logp={candidate.log_prob:8.3f} [{verdict}] {candidate.region_text!r}")
         (out_dir / f"patch_{candidate.rank:03d}.jay").write_text(
             candidate.program.text, encoding="utf-8"
@@ -534,14 +517,19 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except TrainingDiverged as err:
-        print(f"training diverged: {err}", file=sys.stderr)
+        print(f"training diverged: {_describe(err)}", file=sys.stderr)
         return EXIT_DIVERGED
     except (DataError, CorpusError, MiniLangError, FileNotFoundError) as err:
-        print(f"data error: {err}", file=sys.stderr)
+        print(f"data error: {_describe(err)}", file=sys.stderr)
         return EXIT_DATA
     except (UsageError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        print(f"error: {_describe(err)}", file=sys.stderr)
         return EXIT_USAGE
+
+
+def _describe(err: Exception) -> str:
+    """The message and any notes, such as the back-translation iteration."""
+    return " ".join([str(err), *(f"({note})" for note in getattr(err, "__notes__", ()))])
 
 
 if __name__ == "__main__":

@@ -148,6 +148,39 @@ class Seq2SeqModel:
 
     # --- building blocks ---
 
+    def _heads(self, x: Tensor) -> Tensor:
+        """(B, L, D) -> (B, H, L, Dh)."""
+        c = self.config
+        batch, length = x.shape[0], x.shape[1]
+        x = tape.reshape(x, (batch, length, c.n_heads, c.d_model // c.n_heads))
+        return tape.transpose(x, (0, 2, 1, 3))
+
+    def _project(self, prefix: str, name: str, x: Tensor) -> Tensor:
+        return self._heads(tape.matmul(x, self.params[f"{prefix}.{name}"]))
+
+    def _attend(
+        self,
+        prefix: str,
+        q: Tensor,
+        k: Tensor,
+        v: Tensor,
+        additive_mask: Optional[np.ndarray],
+        train: bool,
+        rng: Optional[np.random.Generator],
+    ) -> Tensor:
+        """Attention over projected heads, (B, H, Lq, Dh) queries against
+        (B, H, Lk, Dh) keys and values, through the output projection."""
+        c = self.config
+        batch, q_len = q.shape[0], q.shape[2]
+        d_head = c.d_model // c.n_heads
+        scores = tape.mul(tape.matmul(q, tape.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(d_head))
+        weights = tape.softmax(scores, additive_mask)
+        weights = tape.dropout(weights, c.dropout, rng, train)
+        context = tape.matmul(weights, v)  # (B, H, Lq, Dh)
+        context = tape.transpose(context, (0, 2, 1, 3))
+        context = tape.reshape(context, (batch, q_len, c.d_model))
+        return tape.matmul(context, self.params[f"{prefix}.wo"])
+
     def _attention(
         self,
         prefix: str,
@@ -157,25 +190,10 @@ class Seq2SeqModel:
         train: bool,
         rng: Optional[np.random.Generator],
     ) -> Tensor:
-        c = self.config
-        n_heads, d_head = c.n_heads, c.d_model // c.n_heads
-        batch, q_len = query.shape[0], query.shape[1]
-        kv_len = key_value.shape[1]
-
-        def heads(x: Tensor, length: int) -> Tensor:
-            x = tape.reshape(x, (batch, length, n_heads, d_head))
-            return tape.transpose(x, (0, 2, 1, 3))  # (B, H, L, Dh)
-
-        q = heads(tape.matmul(query, self.params[f"{prefix}.wq"]), q_len)
-        k = heads(tape.matmul(key_value, self.params[f"{prefix}.wk"]), kv_len)
-        v = heads(tape.matmul(key_value, self.params[f"{prefix}.wv"]), kv_len)
-        scores = tape.mul(tape.matmul(q, tape.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(d_head))
-        weights = tape.softmax(scores, additive_mask)
-        weights = tape.dropout(weights, c.dropout, rng, train)
-        context = tape.matmul(weights, v)  # (B, H, Lq, Dh)
-        context = tape.transpose(context, (0, 2, 1, 3))
-        context = tape.reshape(context, (batch, q_len, c.d_model))
-        return tape.matmul(context, self.params[f"{prefix}.wo"])
+        q = self._project(prefix, "wq", query)
+        k = self._project(prefix, "wk", key_value)
+        v = self._project(prefix, "wv", key_value)
+        return self._attend(prefix, q, k, v, additive_mask, train, rng)
 
     def _ffn(self, prefix: str, x: Tensor, train: bool, rng) -> Tensor:
         hidden = tape.relu(tape.add(tape.matmul(x, self.params[f"{prefix}.w1"]), self.params[f"{prefix}.b1"]))
@@ -249,6 +267,57 @@ class Seq2SeqModel:
         y = self._ln("dec.ln_final", y)
         return tape.add(tape.matmul(y, self.params["out.w"]), self.params["out.b"])
 
+    def cross_attention_kv(self, memory: Tensor) -> list[tuple[Tensor, Tensor]]:
+        """Each decoder layer's cross-attention keys and values over the
+        encoder memory, (B, H, S, Dh), for `decode_step`."""
+        return [
+            (self._project(f"dec.{i}.cross", "wk", memory), self._project(f"dec.{i}.cross", "wv", memory))
+            for i in range(self.config.n_decoder_layers)
+        ]
+
+    def decode_step(
+        self,
+        tgt_ids: np.ndarray,
+        cache: list[tuple[np.ndarray, np.ndarray]],
+        self_mask: np.ndarray,
+        cross_kv: list[tuple[Tensor, Tensor]],
+        cross_mask: np.ndarray,
+    ) -> np.ndarray:
+        """Eval-mode decoder logits (B, V) at one new target position T.
+
+        tgt_ids (B,) are the tokens at T. cache holds each layer's
+        self-attention keys and values, position-major (T + 1, B, H, Dh):
+        the caller fills positions < T and this step writes position T.
+        self_mask (B, 1, 1, T + 1) is the additive mask over the same
+        positions. Every row decodes against one source: cross_kv is
+        `cross_attention_kv` of a batch of one, and the B queries go
+        through it as one sequence of B positions.
+        """
+        c = self.config
+        tgt_ids = np.asarray(tgt_ids, dtype=np.int64)
+        batch, position = tgt_ids.shape[0], cache[0][0].shape[0] - 1
+        if position > c.max_tgt_len:
+            raise ValueError(f"target length {position + 1} exceeds {c.max_tgt_len + 1}")
+        y = tape.add(
+            tape.embedding(self.params["dec.tok_emb"], tgt_ids[:, None]),
+            tape.embedding(self.params["dec.pos_emb"], np.asarray([position])),
+        )
+        for i, (keys, values) in enumerate(cache):
+            prefix = f"dec.{i}.self"
+            normed = self._ln(f"dec.{i}.ln1", y)
+            keys[position] = self._project(prefix, "wk", normed).data[:, :, 0]
+            values[position] = self._project(prefix, "wv", normed).data[:, :, 0]
+            k, v = Tensor(keys.transpose(1, 2, 0, 3)), Tensor(values.transpose(1, 2, 0, 3))
+            y = tape.add(y, self._attend(prefix, self._project(prefix, "wq", normed), k, v, self_mask, False, None))
+            prefix = f"dec.{i}.cross"
+            rows = tape.reshape(self._ln(f"dec.{i}.ln2", y), (1, batch, c.d_model))
+            k, v = cross_kv[i]
+            cross = self._attend(prefix, self._project(prefix, "wq", rows), k, v, cross_mask, False, None)
+            y = tape.add(y, tape.reshape(cross, (batch, 1, c.d_model)))
+            y = tape.add(y, self._ffn(f"dec.{i}.ffn", self._ln(f"dec.{i}.ln3", y), False, None))
+        y = self._ln("dec.ln_final", y)
+        return tape.add(tape.matmul(y, self.params["out.w"]), self.params["out.b"]).data[:, 0, :]
+
     @staticmethod
     def pad_mask(ids: np.ndarray) -> np.ndarray:
         """(B, 1, 1, L) additive mask hiding PAD positions."""
@@ -274,29 +343,31 @@ class Seq2SeqModel:
         mask = np.asarray(tgt_out_ids) != PAD
         return tape.cross_entropy(logits, tgt_out_ids, mask)
 
-    def next_token_distribution(
-        self, input_tokens: list[int], prefix_tokens: list[int]
-    ) -> np.ndarray:
-        """Probability distribution over the next target token, given an
-        encoder input and a decoded prefix. Deterministic (eval mode)."""
-        with tape.no_grad():
-            src = np.asarray([input_tokens], dtype=np.int64)
-            tgt_in = np.asarray([[BOS] + list(prefix_tokens)], dtype=np.int64)
-            logits = self.forward_logits(src, tgt_in).data[0, -1]
-        shifted = logits - logits.max()
-        exp = np.exp(shifted)
-        return exp / exp.sum()
-
 
 class BeamScorer:
-    """Incremental scoring interface used by beam search: encode once,
-    then score batches of prefixes."""
+    """The `Scorer` beam search uses: one source, batches of prefixes.
+
+    `__init__` encodes the source once and projects each decoder layer's
+    cross-attention keys and values once, (1, H, S, Dh), shared by every
+    beam. `step_logprobs` keeps, from its previous call, each layer's
+    self-attention keys and values over BOS and each prefix. When every
+    prefix extends a prefix of the previous call by one token, as in
+    beam search, it gathers the parents' rows and decodes only the new
+    position. Any other call (the first, or `exhaustive_top_k`'s
+    depth-first calls) rebuilds the rows from BOS one position at a
+    time with the same step, so there is one inference path.
+    """
 
     def __init__(self, model: Seq2SeqModel, input_tokens: list[int]):
         self.model = model
-        self.src = np.asarray([input_tokens], dtype=np.int64)
+        src = np.asarray([input_tokens], dtype=np.int64)
         with tape.no_grad():
-            self._memory = model.encode(self.src)
+            self._cross_kv = model.cross_attention_kv(model.encode(src))
+        self._cross_mask = model.pad_mask(src)
+        # the cache: a row per prefix of the last call, over BOS and that prefix
+        self._rows: dict[tuple[int, ...], int] = {}
+        self._cache: list[tuple[np.ndarray, np.ndarray]] = []
+        self._self_mask = np.zeros((0, 1, 1, 0))
 
     @property
     def vocab_size(self) -> int:
@@ -308,16 +379,52 @@ class BeamScorer:
 
     def step_logprobs(self, prefixes: list[list[int]]) -> np.ndarray:
         """(len(prefixes), V) log-probabilities for the next token."""
-        batch = len(prefixes)
-        width = max(len(p) for p in prefixes) + 1
-        tgt_in = np.full((batch, width), PAD, dtype=np.int64)
-        for row, prefix in enumerate(prefixes):
-            tgt_in[row, 0] = BOS
-            tgt_in[row, 1 : 1 + len(prefix)] = prefix
+        if not prefixes:
+            raise ValueError("no prefixes to score")
+        keys = [tuple(prefix) for prefix in prefixes]
+        parents = [self._rows.get(key[:-1]) if key else None for key in keys]
+        if None in parents:
+            logits = self._rebuild(keys)
+        else:
+            logits = self._advance(np.asarray([key[-1] for key in keys]), np.asarray(parents))
+            self._rows = {key: row for row, key in enumerate(keys)}
+        return tape.log_softmax_last(logits)
+
+    def _rebuild(self, keys: list[tuple[int, ...]]) -> np.ndarray:
+        """Decode every prefix from BOS; prefixes of one length share a
+        pass, and the cache keeps the last pass."""
+        c = self.model.config
+        logits = np.empty((len(keys), self.vocab_size))
+        self._rows = {}
+        for length in sorted({len(key) for key in keys}):
+            rows = [row for row, key in enumerate(keys) if len(key) == length]
+            group = [keys[row] for row in rows]
+            tokens = np.asarray([(BOS,) + key for key in group], dtype=np.int64)
+            empty = np.zeros((0, len(group), c.n_heads, c.d_model // c.n_heads))
+            self._cache = [(empty, empty)] * c.n_decoder_layers
+            self._self_mask = np.zeros((len(group), 1, 1, 0))
+            for position in range(length + 1):
+                out = self._advance(tokens[:, position], np.arange(len(group)))
+            self._rows = {key: row for row, key in enumerate(group)}
+            logits[rows] = out
+        return logits
+
+    def _advance(self, tokens: np.ndarray, parents: np.ndarray) -> np.ndarray:
+        """Logits for the cached rows `parents`, each extended by its
+        token; the extended rows replace the cache."""
+        length = self._self_mask.shape[3]
+        cache = []
+        for layer in self._cache:
+            grown = []
+            for old in layer:
+                new = np.empty((length + 1, len(tokens)) + old.shape[2:])
+                # mode="clip" lets take write straight into the slice; parents are in range
+                np.take(old, parents, axis=1, out=new[:length], mode="clip")
+                grown.append(new)
+            cache.append(tuple(grown))
+        pad = np.where(tokens == PAD, NEG_INF, 0.0)[:, None, None, None]
+        self_mask = np.concatenate([self._self_mask[parents], pad], axis=3)
         with tape.no_grad():
-            memory = Tensor(np.repeat(self._memory.data, batch, axis=0))
-            src = np.repeat(self.src, batch, axis=0)
-            logits = self.model.decode(memory, src, tgt_in).data
-        rows = np.arange(batch)
-        last = np.asarray([len(p) for p in prefixes])
-        return tape.log_softmax_last(logits[rows, last, :])
+            logits = self.model.decode_step(tokens, cache, self_mask, self._cross_kv, self._cross_mask)
+        self._cache, self._self_mask = cache, self_mask
+        return logits

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
-from jayfix.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from jayfix import backtranslate, cli
+from jayfix.cli import EXIT_DATA, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, main
+from jayfix.evaluate import CandidatePatch
+from jayfix.minilang import SourceProgram
+from jayfix.model import TrainingDiverged
 
 MICRO_CONFIG = {
     "seed": 5,
@@ -192,3 +197,39 @@ def test_config_echo_is_fully_resolved(workspace):
     assert echoed["loop"]["k_correct"] == 2
     assert echoed["train"]["batch_size"] == 16
     assert echoed["model"]["vocab_size"] > 0
+
+
+@pytest.mark.parametrize("error, code", [
+    (lambda: TrainingDiverged(epoch=1, step=2, loss=float("nan")), EXIT_DIVERGED),
+    (lambda: ValueError("bad value"), EXIT_USAGE),
+])
+def test_backtranslate_failure_keeps_its_exit_code(workspace, tmp_path, monkeypatch, capsys, error, code):
+    root, config_path = workspace
+    work = tmp_path / "work"
+    shutil.copytree(root / "work", work)
+
+    def failing(*args, **kwargs):
+        raise error()
+
+    monkeypatch.setattr(backtranslate, "bt_iteration", failing)
+    assert main(["backtranslate", "--config", str(config_path), "--out", str(work)]) == code
+    assert "back-translation iteration 1" in capsys.readouterr().err
+
+
+def test_repair_without_tests_is_never_plausible(workspace, tmp_path, monkeypatch, capsys):
+    root, config_path = workspace
+    corpus = Path(json.loads(Path(config_path).read_text())["corpus_dir"])
+    fixed = SourceProgram("gcd_buggy@rank1", (corpus / "gcd.jay").read_text())
+
+    def reference_patch(fixer, task, k, rep_cfg, vocab):
+        return [CandidatePatch(rank=1, log_prob=-0.5, region_text="fixed", program=fixed)]
+
+    monkeypatch.setattr(cli, "repair", reference_patch)
+    argv = ["--span", "4:4", "--config", str(config_path), "--reference", str(corpus / "gcd.jay")]
+    # next to its suite the reference fix is correct
+    assert main(["repair", str(corpus / "gcd_buggy.jay"), *argv, "--out", str(tmp_path / "a")]) == EXIT_OK
+    assert "[correct] 'fixed'" in capsys.readouterr().out
+    # an empty stand-in suite would pass it; without tests it only compiles
+    shutil.copy(corpus / "gcd_buggy.jay", tmp_path / "gcd_buggy.jay")
+    assert main(["repair", str(tmp_path / "gcd_buggy.jay"), *argv, "--out", str(tmp_path / "b")]) == EXIT_OK
+    assert "[compiles] 'fixed'" in capsys.readouterr().out

@@ -6,6 +6,7 @@ import pytest
 from jayfix.corpus import DIRECTION_FIX, TrainingSample
 from jayfix.minilang import Span
 from jayfix.model import (
+    BeamScorer,
     ModelConfig,
     Seq2SeqModel,
     TrainConfig,
@@ -20,6 +21,10 @@ from jayfix.model.training import make_batch
 from jayfix.representation import BOS, EOS, N_RESERVED, PAD
 
 VOCAB = 64
+
+
+def next_token_distribution(model: Seq2SeqModel, input_tokens, prefix) -> np.ndarray:
+    return np.exp(BeamScorer(model, input_tokens).step_logprobs([prefix])[0])
 
 
 def tiny_model(seed: int = 0) -> Seq2SeqModel:
@@ -56,28 +61,28 @@ def make_samples(n: int, seed: int = 0, width: int = 10) -> list[TrainingSample]
 
 def test_distribution_shape_and_normalization():
     model = tiny_model()
-    dist = model.next_token_distribution([10, 11, 12], [13, 14])
+    dist = next_token_distribution(model, [10, 11, 12], [13, 14])
     assert dist.shape == (VOCAB,)
     assert np.isfinite(dist).all()
     assert abs(dist.sum() - 1.0) < 1e-5
 
 
 def test_forward_deterministic_across_fresh_models():
-    a = tiny_model(seed=5).next_token_distribution([10, 11], [12])
-    b = tiny_model(seed=5).next_token_distribution([10, 11], [12])
+    a = next_token_distribution(tiny_model(seed=5), [10, 11], [12])
+    b = next_token_distribution(tiny_model(seed=5), [10, 11], [12])
     assert np.array_equal(a, b)
 
 
 def test_different_seeds_give_different_models():
-    a = tiny_model(seed=1).next_token_distribution([10, 11], [12])
-    b = tiny_model(seed=2).next_token_distribution([10, 11], [12])
+    a = next_token_distribution(tiny_model(seed=1), [10, 11], [12])
+    b = next_token_distribution(tiny_model(seed=2), [10, 11], [12])
     assert not np.allclose(a, b)
 
 
 def test_token_id_out_of_range_raises():
     model = tiny_model()
     with pytest.raises(ValueError):
-        model.next_token_distribution([VOCAB + 5], [10])
+        next_token_distribution(model, [VOCAB + 5], [10])
 
 
 def test_config_validation():
@@ -195,8 +200,8 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert loaded.step == 123
     for name in model.params:
         assert np.array_equal(loaded.params[name].data, model.params[name].data)
-    a = model.next_token_distribution([10, 11, 12], [13])
-    b = loaded.next_token_distribution([10, 11, 12], [13])
+    a = next_token_distribution(model, [10, 11, 12], [13])
+    b = next_token_distribution(loaded, [10, 11, 12], [13])
     assert np.array_equal(a, b)
 
 
