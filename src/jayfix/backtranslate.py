@@ -17,12 +17,16 @@ the fixer half of the same iteration. Fine-tuning always warm-starts
 from the current weights and uses the whole store for its direction,
 so later iterations see strictly more data. A half whose critic accepts
 nothing skips its fine-tune and is logged.
+
+Both halves, and `jayfix gen-bugs`, generate through one path:
+`generate_candidates` proposes, splices and judges one program's
+candidates.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -37,11 +41,20 @@ from .corpus import (
     correct_entries,
     split_holdout,
 )
-from .critics import CriticKind, POLARITY_BUGGY, POLARITY_CORRECT, filter_candidates
+from .critics import (
+    CriticKind,
+    CriticVerdict,
+    FilterCounts,
+    POLARITY_BUGGY,
+    POLARITY_CORRECT,
+    filter_candidates,
+)
 from .minilang import (
     DEFAULT_FUEL,
     SourceProgram,
     Span,
+    SpliceResult,
+    TestSuite,
     enumerate_statement_locations,
     splice_region,
 )
@@ -80,20 +93,6 @@ class LoopConfig:
         if self.order not in (ORDER_FIXER_FIRST, ORDER_BREAKER_FIRST):
             raise ValueError(f"unknown order {self.order!r}")
 
-    def to_json(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "k_correct": self.k_correct,
-            "k_buggy": self.k_buggy,
-            "critic_family": self.critic_family,
-            "fuel": self.fuel,
-            "seed": self.seed,
-            "include_mechanical": self.include_mechanical,
-            "max_locations_per_program": self.max_locations_per_program,
-            "order": self.order,
-            "jobs": self.jobs,
-        }
-
 
 @dataclass(frozen=True)
 class BugSeed:
@@ -108,7 +107,7 @@ class BugSeed:
 class CandidateRecord:
     text: str
     accepted: bool
-    content_sha: str
+    sha: str
 
 
 @dataclass
@@ -116,16 +115,6 @@ class BatchLog:
     phase: str  # "fix_candidates" | "bug_candidates"
     base_name: str
     candidates: list[CandidateRecord] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "phase": self.phase,
-            "base_name": self.base_name,
-            "candidates": [
-                {"text": c.text, "accepted": c.accepted, "sha": c.content_sha}
-                for c in self.candidates
-            ],
-        }
 
 
 @dataclass
@@ -148,27 +137,6 @@ class IterationLog:
     wall_clock_sec: float = 0.0
     batches: list[BatchLog] = field(default_factory=list)
 
-    def to_json(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "critic_family": self.critic_family,
-            "order": self.order,
-            "fix_candidates": self.fix_candidates,
-            "fix_kept": self.fix_kept,
-            "break_samples_appended": self.break_samples_appended,
-            "bug_candidates": self.bug_candidates,
-            "bug_kept": self.bug_kept,
-            "fix_samples_appended": self.fix_samples_appended,
-            "rejected_length": self.rejected_length,
-            "breaker_val_loss": self.breaker_val_loss,
-            "fixer_val_loss": self.fixer_val_loss,
-            "breaker_finetuned": self.breaker_finetuned,
-            "fixer_finetuned": self.fixer_finetuned,
-            "store_total_after": self.store_total_after,
-            "wall_clock_sec": self.wall_clock_sec,
-            "batches": [b.to_json() for b in self.batches],
-        }
-
 
 def propose_regions(
     model: Seq2SeqModel,
@@ -183,6 +151,62 @@ def propose_regions(
     scorer = BeamScorer(model, input_tokens)
     candidates = beam_search(scorer, k=k, max_len=model.config.max_tgt_len)
     return [(vocab.decode(list(c.content_tokens)), c.log_prob) for c in candidates]
+
+
+@dataclass(frozen=True)
+class Candidate:
+    """A proposal spliced into its program at the span it was decoded for."""
+
+    program: SourceProgram
+    anchor: Span
+    splice: SpliceResult
+
+
+@dataclass(frozen=True)
+class Generation:
+    """One program's proposals, in span-then-beam order, and the critic's
+    judgement of them."""
+
+    candidates: list[Candidate]
+    kept: list[tuple[Candidate, CriticVerdict]]
+    counts: FilterCounts
+    skipped: int  # spans whose input did not fit the length budget
+
+
+def generate_candidates(
+    model: Seq2SeqModel,
+    program: SourceProgram,
+    base_name: str,
+    spans: list[Span],
+    k: int,
+    critic: CriticKind,
+    suite: TestSuite,
+    fuel: int,
+    rep_cfg: RepresentationConfig,
+    vocab: Vocabulary,
+    jobs: int = 1,
+) -> Generation:
+    """Propose k replacements per span, splice each into the program and
+    judge the batch against the suite of its base program. Under the
+    correct-code critic a proposal that leaves the program unchanged is
+    dropped before judging: a no-op fix is not a fix."""
+    fixing = critic.polarity == POLARITY_CORRECT
+    name = f"{base_name}+fix" if fixing else f"{base_name}+bug"
+    candidates: list[Candidate] = []
+    skipped = 0
+    for span in spans:
+        try:
+            proposals = propose_regions(model, program, span, k, rep_cfg, vocab)
+        except RegionTooLong:
+            skipped += 1
+            continue
+        for text, _score in proposals:
+            result = splice_region(program.text, span, text.split("\n"))
+            if fixing and result.mutant_text == program.text:
+                continue
+            candidates.append(Candidate(SourceProgram(name, result.mutant_text), span, result))
+    kept, counts = filter_candidates(critic, [(c.program, c) for c in candidates], suite, fuel, jobs=jobs)
+    return Generation(candidates, [(c, verdict) for _, c, verdict in kept], counts, skipped)
 
 
 def initial_bug_seeds(entries: list[CorpusEntry]) -> list[BugSeed]:
@@ -245,6 +269,42 @@ def _finetune(
     return result.best_val_loss
 
 
+def _log_batch(
+    log: IterationLog,
+    phase: str,
+    base_name: str,
+    generation: Generation,
+    iteration: int,
+    rep_cfg: RepresentationConfig,
+    vocab: Vocabulary,
+) -> list[TrainingSample]:
+    """Record one program's candidates in the iteration log and turn the
+    kept ones into samples for the other model: kept fixes become break
+    samples, kept bugs fix samples."""
+    accepted = {id(candidate) for candidate, _ in generation.kept}
+    log.batches.append(BatchLog(phase, base_name, [
+        CandidateRecord(c.program.text, id(c) in accepted, content_hash(c.program.text))
+        for c in generation.candidates
+    ]))
+    log.rejected_length += generation.skipped
+    if phase == "fix_candidates":
+        log.fix_candidates += len(generation.candidates)
+        log.fix_kept += len(generation.kept)
+        direction = DIRECTION_BREAK
+    else:
+        log.bug_candidates += len(generation.candidates)
+        log.bug_kept += len(generation.kept)
+        direction = DIRECTION_FIX
+    samples = [
+        _sample_from_edit(
+            direction, c.program, c.splice.mutant_region, c.splice.base_region_lines,
+            base_name, iteration, rep_cfg, vocab, log,
+        )
+        for c, _verdict in generation.kept
+    ]
+    return [sample for sample in samples if sample is not None]
+
+
 def _fixer_half(
     fixer: Seq2SeqModel,
     breaker: Seq2SeqModel,
@@ -262,34 +322,14 @@ def _fixer_half(
     critic = CriticKind(cfg.critic_family, POLARITY_CORRECT)
     batch: list[TrainingSample] = []
     for seed in bug_seeds:
-        try:
-            proposals = propose_regions(fixer, seed.program, seed.region, cfg.k_correct, rep_cfg, vocab)
-        except RegionTooLong:
-            log.rejected_length += 1
+        generation = generate_candidates(
+            fixer, seed.program, seed.base_name, [seed.region], cfg.k_correct, critic,
+            suites[seed.base_name], cfg.fuel, rep_cfg, vocab, cfg.jobs,
+        )
+        if generation.skipped:  # the seed's one region is too long; no batch to log
+            log.rejected_length += generation.skipped
             continue
-        batch_log = BatchLog(phase="fix_candidates", base_name=seed.base_name)
-        candidates: list[tuple[SourceProgram, object]] = []
-        for text, _score in proposals:
-            result = splice_region(seed.program.text, seed.region, text.split("\n"))
-            if result.mutant_text == seed.program.text:
-                continue  # a no-op "fix" is not a fix
-            candidates.append((SourceProgram(f"{seed.base_name}+fix", result.mutant_text), result))
-        log.fix_candidates += len(candidates)
-        kept, _ = filter_candidates(critic, candidates, suites[seed.base_name], cfg.fuel, jobs=cfg.jobs)
-        kept_ids = {id(program) for program, _, _ in kept}
-        for program, _meta in candidates:
-            batch_log.candidates.append(
-                CandidateRecord(program.text, id(program) in kept_ids, content_hash(program.text))
-            )
-        log.batches.append(batch_log)
-        log.fix_kept += len(kept)
-        for fixed_program, result, _verdict in kept:
-            sample = _sample_from_edit(
-                DIRECTION_BREAK, fixed_program, result.mutant_region,
-                result.base_region_lines, seed.base_name, iteration, rep_cfg, vocab, log,
-            )
-            if sample is not None:
-                batch.append(sample)
+        batch += _log_batch(log, "fix_candidates", seed.base_name, generation, iteration, rep_cfg, vocab)
     log.break_samples_appended = store.append(batch)
     if log.fix_kept > 0:
         log.breaker_val_loss = _finetune(breaker, DIRECTION_BREAK, store, cfg, train_cfg, iteration)
@@ -321,41 +361,20 @@ def _breaker_half(
                 rng.choice(len(locations), size=cfg.max_locations_per_program, replace=False).tolist()
             )
             locations = [locations[i] for i in keep]
-        batch_log = BatchLog(phase="bug_candidates", base_name=entry.name)
-        candidates: list[tuple[SourceProgram, object]] = []
-        for span in locations:
-            try:
-                proposals = propose_regions(breaker, entry.program, span, cfg.k_buggy, rep_cfg, vocab)
-            except RegionTooLong:
-                log.rejected_length += 1
-                continue
-            for text, _score in proposals:
-                result = splice_region(entry.program.text, span, text.split("\n"))
-                candidates.append((SourceProgram(f"{entry.name}+bug", result.mutant_text), result))
-        log.bug_candidates += len(candidates)
-        kept, _ = filter_candidates(critic, candidates, entry.suite, cfg.fuel, jobs=cfg.jobs)
-        kept_ids = {id(program) for program, _, _ in kept}
-        for program, _meta in candidates:
-            batch_log.candidates.append(
-                CandidateRecord(program.text, id(program) in kept_ids, content_hash(program.text))
-            )
-        log.batches.append(batch_log)
-        log.bug_kept += len(kept)
-        seen: set[str] = set()
-        for mutant_program, result, _verdict in kept:
-            sample = _sample_from_edit(
-                DIRECTION_FIX, mutant_program, result.mutant_region,
-                result.base_region_lines, entry.name, iteration, rep_cfg, vocab, log,
-            )
-            if sample is not None:
-                batch.append(sample)
-            mutant_key = content_hash([mutant_program.text, str(result.mutant_region)])
-            if mutant_key not in seen:
-                seen.add(mutant_key)
+        generation = generate_candidates(
+            breaker, entry.program, entry.name, locations, cfg.k_buggy, critic,
+            entry.suite, cfg.fuel, rep_cfg, vocab, cfg.jobs,
+        )
+        batch += _log_batch(log, "bug_candidates", entry.name, generation, iteration, rep_cfg, vocab)
+        seen: set[tuple[str, Span]] = set()
+        for candidate, _verdict in generation.kept:
+            key = (candidate.program.text, candidate.splice.mutant_region)
+            if key not in seen:
+                seen.add(key)
                 new_seeds.append(
                     BugSeed(
-                        program=SourceProgram(f"{entry.name}@bt{iteration}", mutant_program.text),
-                        region=result.mutant_region,
+                        program=SourceProgram(f"{entry.name}@bt{iteration}", candidate.program.text),
+                        region=candidate.splice.mutant_region,
                         base_name=entry.name,
                     )
                 )
@@ -414,14 +433,7 @@ def run_loop(
     bug_seeds = initial_bug_seeds(entries)
     for iteration in range(1, cfg.iterations + 1):
         before = len(store)
-        iter_train_cfg = TrainConfig(
-            batch_size=train_cfg.batch_size,
-            learning_rate=train_cfg.learning_rate,
-            weight_decay=train_cfg.weight_decay,
-            max_epochs=train_cfg.max_epochs,
-            patience=train_cfg.patience,
-            seed=derive_seed("bt-train", train_cfg.seed, iteration),
-        )
+        iter_train_cfg = replace(train_cfg, seed=derive_seed("bt-train", train_cfg.seed, iteration))
         try:
             log, new_seeds = bt_iteration(
                 fixer, breaker, entries, bug_seeds, store, cfg, rep_cfg, train_cfg=iter_train_cfg,
@@ -446,6 +458,6 @@ def run_loop(
             save_checkpoint(fixer, iter_dir / "fixer.ckpt")
             save_checkpoint(breaker, iter_dir / "breaker.ckpt")
             (iter_dir / "log.json").write_text(
-                json.dumps(log.to_json(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+                json.dumps(asdict(log), indent=2, sort_keys=True) + "\n", encoding="utf-8"
             )
     return logs

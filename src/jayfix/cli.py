@@ -12,9 +12,10 @@ import argparse
 import difflib
 import json
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
-from .backtranslate import propose_regions, run_loop
+from .backtranslate import generate_candidates, run_loop
 from .config import RunConfig
 from .corpus import (
     CorpusError,
@@ -26,7 +27,7 @@ from .corpus import (
     load_suite,
     split_holdout,
 )
-from .critics import CriticKind, FAMILIES, POLARITY_BUGGY, filter_candidates
+from .critics import CriticKind, FAMILIES, POLARITY_BUGGY
 from .evaluate import RepairTask, assess, evaluate, repair, tasks_from_corpus
 from .mechanical import DEFAULT_RULES, generate_mechanical_dataset
 from .minilang import (
@@ -37,10 +38,8 @@ from .minilang import (
     TestSuite,
     analyze,
     enumerate_statement_locations,
-    splice_region,
 )
 from .model import (
-    ModelConfig,
     Seq2SeqModel,
     TrainingDiverged,
     load_checkpoint,
@@ -180,7 +179,7 @@ def cmd_gen_mechanical(args) -> int:
             diff, encoding="utf-8"
         )
     (paths["work"] / "mechanical_report.json").write_text(
-        json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(asdict(report), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     _echo_config(cfg, paths["work"], vocab_size=vocab.size)
     counts = store.counts()
@@ -211,16 +210,15 @@ def cmd_init_train(args) -> int:
         samples = store.samples_for(direction)
         if not samples:
             raise DataError(f"store has no {direction}-direction samples")
-        model = Seq2SeqModel(
-            cfg.model_config(vocab.size)
-            if role == "fixer"
-            else _reseeded(cfg.model_config(vocab.size), derive_seed("breaker-init", cfg.seed))
-        )
+        model_cfg = cfg.model_config(vocab.size)
+        if role == "breaker":
+            model_cfg = replace(model_cfg, seed=derive_seed("breaker-init", cfg.seed))
+        model = Seq2SeqModel(model_cfg)
         split_seed = derive_seed("init-holdout", cfg.seed, role)
         train_set, val_set = split_holdout(samples, 0.02, split_seed)
         result = train(model, train_set, val_set, train_cfg)
         save_checkpoint(model, paths["init"] / f"{role}.ckpt")
-        curves[role] = result.to_json()
+        curves[role] = asdict(result)
         print(
             f"{role}: trained on {len(train_set)}/{len(val_set)} samples, "
             f"best val loss {result.best_val_loss:.4f} at epoch {result.best_epoch}"
@@ -230,12 +228,6 @@ def cmd_init_train(args) -> int:
     )
     _echo_config(cfg, paths["init"], vocab_size=vocab.size)
     return EXIT_OK
-
-
-def _reseeded(config: ModelConfig, seed: int) -> ModelConfig:
-    import dataclasses
-
-    return dataclasses.replace(config, seed=seed)
 
 
 def cmd_backtranslate(args) -> int:
@@ -392,37 +384,32 @@ def cmd_gen_bugs(args) -> int:
     for entry in sorted(correct, key=lambda e: e.name):
         locations = enumerate_statement_locations(entry.ast)
         locations_total += len(locations)
-        candidates = []
-        for span in locations:
-            try:
-                proposals = propose_regions(breaker, entry.program, span, loop_cfg.k_buggy, rep_cfg, vocab)
-            except RegionTooLong:
-                locations_skipped += 1
-                continue
-            for text, _score in proposals:
-                result = splice_region(entry.program.text, span, text.split("\n"))
-                candidates.append((SourceProgram(f"{entry.name}+bug", result.mutant_text), (span, result)))
-        generated_total += len(candidates)
-        kept, counts = filter_candidates(critic, candidates, entry.suite, loop_cfg.fuel, jobs=cfg.jobs)
-        accepted_total += counts.kept
-        rejected_compile += counts.rejected_compile
-        rejected_tests += counts.rejected_tests
-        for program, (span, result), verdict in kept:
-            index = len(emitted)
-            stem = f"{index:05d}_{entry.name}"
-            (out_dir / f"{stem}.jay").write_text(program.text, encoding="utf-8")
+        generation = generate_candidates(
+            breaker, entry.program, entry.name, locations, loop_cfg.k_buggy, critic,
+            entry.suite, loop_cfg.fuel, rep_cfg, vocab, cfg.jobs,
+        )
+        locations_skipped += generation.skipped
+        generated_total += len(generation.candidates)
+        accepted_total += generation.counts.kept
+        rejected_compile += generation.counts.rejected_compile
+        rejected_tests += generation.counts.rejected_tests
+        for candidate, verdict in generation.kept:
+            stem = f"{len(emitted):05d}_{entry.name}"
+            text = candidate.program.text
+            region = candidate.splice.mutant_region
+            (out_dir / f"{stem}.jay").write_text(text, encoding="utf-8")
             diff = "".join(
                 difflib.unified_diff(
                     entry.program.text.splitlines(keepends=True),
-                    program.text.splitlines(keepends=True),
+                    text.splitlines(keepends=True),
                     fromfile=f"a/{entry.name}.jay",
                     tofile=f"b/{entry.name}.jay",
                 )
             )
             meta = {
                 "base": entry.name,
-                "anchor_span": [span.start_line, span.end_line],
-                "region": [result.mutant_region.start_line, result.mutant_region.end_line],
+                "anchor_span": [candidate.anchor.start_line, candidate.anchor.end_line],
+                "region": [region.start_line, region.end_line],
                 "critic_family": critic.family,
                 "evidence": verdict.evidence,
                 "diff": diff,

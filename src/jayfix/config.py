@@ -6,7 +6,7 @@ its output directory."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
@@ -114,16 +114,12 @@ class RunConfig:
             "fuel": self.fuel,
             "per_location_cap": self.per_location_cap,
             "model_preset": self.model_preset,
-            "train": self.train_config().to_json(),
-            "loop": self.loop_config().to_json(),
-            "representation": {
-                "context_lines": self.representation_config().context_lines,
-                "max_input_len": self.representation_config().max_input_len,
-                "max_target_len": self.representation_config().max_target_len,
-            },
+            "train": asdict(self.train_config()),
+            "loop": asdict(self.loop_config()),
+            "representation": asdict(self.representation_config()),
         }
         if vocab_size is not None:
-            out["model"] = self.model_config(vocab_size).to_json()
+            out["model"] = asdict(self.model_config(vocab_size))
         else:
             out["model"] = dict(self.model)
         return out

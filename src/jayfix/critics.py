@@ -102,14 +102,6 @@ class FilterCounts:
     rejected_compile: int
     rejected_tests: int
 
-    def to_json(self) -> dict:
-        return {
-            "generated": self.generated,
-            "kept": self.kept,
-            "rejected_compile": self.rejected_compile,
-            "rejected_tests": self.rejected_tests,
-        }
-
 
 def filter_candidates(
     kind: CriticKind,

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
+from .backtranslate import propose_regions
 from .corpus import CorpusEntry, buggy_entries
 from .mechanical import MechanicalBug
 from .minilang import (
@@ -35,8 +36,8 @@ from .minilang import (
     splice_region,
     TestSuite,
 )
-from .model import BeamScorer, Seq2SeqModel, beam_search
-from .representation import RegionTooLong, RepresentationConfig, Vocabulary, build_input
+from .model import Seq2SeqModel
+from .representation import RegionTooLong, RepresentationConfig, Vocabulary
 
 
 @dataclass(frozen=True)
@@ -150,14 +151,6 @@ class PatchAssessment:
         if self.plausible and not self.compiles:
             raise ValueError("plausible implies compiles")
 
-    def to_json(self) -> dict:
-        return {
-            "rank": self.rank,
-            "compiles": self.compiles,
-            "plausible": self.plausible,
-            "correct": self.correct,
-        }
-
 
 def repair(
     fixer: Seq2SeqModel,
@@ -170,19 +163,17 @@ def repair(
     replaced by each beam-decoded region, in beam order."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    input_tokens = build_input(task.buggy, task.fault_span, rep_cfg, vocab)
-    scorer = BeamScorer(fixer, input_tokens)
-    candidates = beam_search(scorer, k=k, max_len=fixer.config.max_tgt_len)
     patches = []
-    for candidate in candidates:
-        text = vocab.decode(list(candidate.content_tokens))
+    for rank, (text, log_prob) in enumerate(
+        propose_regions(fixer, task.buggy, task.fault_span, k, rep_cfg, vocab), start=1
+    ):
         result = splice_region(task.buggy.text, task.fault_span, text.split("\n"))
         patches.append(
             CandidatePatch(
-                rank=candidate.rank,
-                log_prob=candidate.log_prob,
+                rank=rank,
+                log_prob=log_prob,
                 region_text=text,
-                program=SourceProgram(f"{task.name}@rank{candidate.rank}", result.mutant_text),
+                program=SourceProgram(f"{task.name}@rank{rank}", result.mutant_text),
             )
         )
     return patches
@@ -217,14 +208,6 @@ class TaskResult:
     first_correct_rank: Optional[int]
     first_plausible_rank: Optional[int]
 
-    def to_json(self) -> dict:
-        return {
-            "task": self.task,
-            "assessments": [a.to_json() for a in self.assessments],
-            "first_correct_rank": self.first_correct_rank,
-            "first_plausible_rank": self.first_plausible_rank,
-        }
-
 
 @dataclass
 class EvalReport:
@@ -257,7 +240,7 @@ class EvalReport:
                 "percent": self.compilability_percent,
             },
             "curve": self.curve,
-            "tasks": [t.to_json() for t in self.task_results],
+            "tasks": [asdict(t) for t in self.task_results],
             "review_queue": self.review_queue,
         }
 

@@ -375,14 +375,6 @@ class MechanicalReport:
     rejected_length: int = 0
     dead_rules: tuple[str, ...] = ()
 
-    def to_json(self) -> dict:
-        return {
-            "bugs": self.bugs,
-            "samples": self.samples,
-            "rejected_length": self.rejected_length,
-            "dead_rules": list(self.dead_rules),
-        }
-
 
 def samples_for_bug(
     bug: MechanicalBug,

@@ -8,6 +8,7 @@ bit-for-bit on the same platform.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ def save_checkpoint(model: Seq2SeqModel, path: str | Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     meta = {
         "format": CHECKPOINT_FORMAT,
-        "config": model.config.to_json(),
+        "config": asdict(model.config),
         "step": model.step,
     }
     arrays = {f"param/{name}": tensor.data for name, tensor in model.params.items()}
@@ -40,7 +41,7 @@ def load_checkpoint(path: str | Path) -> Seq2SeqModel:
         meta = json.loads(bytes(archive[_META_KEY]).decode("utf-8"))
         if meta.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(f"{path}: unsupported checkpoint format {meta.get('format')}")
-        config = ModelConfig.from_json(meta["config"])
+        config = ModelConfig(**meta["config"])
         arrays = {
             key[len("param/") :]: archive[key]
             for key in archive.files

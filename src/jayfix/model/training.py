@@ -36,16 +36,6 @@ class TrainConfig:
         if self.learning_rate <= 0 or self.weight_decay < 0:
             raise ValueError("learning_rate must be > 0 and weight_decay >= 0")
 
-    def to_json(self) -> dict:
-        return {
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "weight_decay": self.weight_decay,
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-            "seed": self.seed,
-        }
-
 
 class TrainingDiverged(RuntimeError):
     def __init__(self, epoch: int, step: int, loss: float):
@@ -66,16 +56,6 @@ class TrainResult:
     best_val_loss: float
     best_epoch: int
     history: list[EpochStats] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "best_val_loss": self.best_val_loss,
-            "best_epoch": self.best_epoch,
-            "history": [
-                {"epoch": h.epoch, "train_loss": h.train_loss, "val_loss": h.val_loss}
-                for h in self.history
-            ],
-        }
 
 
 def make_batch(samples: Sequence[TrainingSample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

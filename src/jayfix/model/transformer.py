@@ -53,24 +53,6 @@ class ModelConfig:
         base.update(overrides)
         return cls(**base)
 
-    def to_json(self) -> dict:
-        return {
-            "d_model": self.d_model,
-            "d_ff": self.d_ff,
-            "n_heads": self.n_heads,
-            "n_encoder_layers": self.n_encoder_layers,
-            "n_decoder_layers": self.n_decoder_layers,
-            "dropout": self.dropout,
-            "vocab_size": self.vocab_size,
-            "max_src_len": self.max_src_len,
-            "max_tgt_len": self.max_tgt_len,
-            "seed": self.seed,
-        }
-
-    @staticmethod
-    def from_json(raw: dict) -> "ModelConfig":
-        return ModelConfig(**raw)
-
 
 class Seq2SeqModel:
     """One trainable sequence-to-sequence network."""

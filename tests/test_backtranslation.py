@@ -1,16 +1,22 @@
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+from jayfix import backtranslate
 from jayfix.backtranslate import (
     LoopConfig,
     bt_iteration,
+    generate_candidates,
     initial_bug_seeds,
+    propose_regions,
     run_loop,
 )
 from jayfix.corpus import SampleStore, load_corpus
-from jayfix.minilang import enumerate_statement_locations
+from jayfix.critics import FAMILY_NONE, POLARITY_BUGGY, POLARITY_CORRECT, CriticKind
+from jayfix.minilang import DEFAULT_FUEL, enumerate_statement_locations, region_text, splice_region
 from jayfix.model import ModelConfig, Seq2SeqModel, TrainConfig, load_checkpoint
 from jayfix.representation import RepresentationConfig, Vocabulary
 
@@ -136,7 +142,7 @@ def test_loop_is_deterministic(world, tmp_path):
         store = SampleStore(tmp_path / f"{tag}.jsonl")
         logs = run_loop(fixer, breaker, subset, store, cfg, rep_cfg, TRAIN_CFG, vocab)
         payload = [
-            {k: v for k, v in log.to_json().items() if k != "wall_clock_sec"} for log in logs
+            {k: v for k, v in asdict(log).items() if k != "wall_clock_sec"} for log in logs
         ]
         results.append((payload, [s.to_json() for s in store.samples]))
     assert results[0] == results[1]
@@ -202,3 +208,123 @@ def test_unknown_order_rejected():
 
     with _pytest.raises(ValueError):
         LoopConfig(order="diagonal")
+
+
+# --- generate_candidates: the one propose -> splice -> judge path ----------------
+
+
+def _gcd(entries):
+    return next(e for e in entries if e.name == "gcd")
+
+
+def _stub_beam(monkeypatch, proposals):
+    """Replace beam decoding by fixed proposals per span, so the identity
+    proposal (the span's own lines) is certain to occur."""
+
+    def propose(model, program, span, k, rep_cfg, vocab):
+        return [(text, -float(i)) for i, text in enumerate(proposals(region_text(program.text, span)))][:k]
+
+    monkeypatch.setattr(backtranslate, "propose_regions", propose)
+
+
+def test_generate_candidates_span_then_beam_order(world):
+    entries, vocab, rep_cfg = world
+    entry = _gcd(entries)
+    spans = list(reversed(enumerate_statement_locations(entry.ast)))
+    model = make_model(vocab, rep_cfg, seed=30)
+    critic = CriticKind(FAMILY_NONE, POLARITY_BUGGY)
+    generation = generate_candidates(
+        model, entry.program, entry.name, spans, 3, critic, entry.suite, DEFAULT_FUEL, rep_cfg, vocab
+    )
+    expected = [
+        (span, splice_region(entry.program.text, span, text.split("\n")).mutant_text)
+        for span in spans
+        for text, _ in propose_regions(model, entry.program, span, 3, rep_cfg, vocab)
+    ]
+    assert [(c.anchor, c.program.text) for c in generation.candidates] == expected
+    assert len(expected) == 3 * len(spans)
+    assert generation.skipped == 0
+
+
+def test_generate_candidates_skips_too_long_spans(world):
+    entries, vocab, _ = world
+    entry = _gcd(entries)
+    spans = enumerate_statement_locations(entry.ast)
+    lengths = {span: len(vocab.encode(region_text(entry.program.text, span))) for span in spans}
+    budget = max(n for span, n in lengths.items() if span.start_line == span.end_line) + 2
+    rep_cfg = RepresentationConfig(context_lines=2, max_input_len=budget, max_target_len=32)
+    too_long = [span for span in spans if lengths[span] + 2 > budget]
+    assert too_long and len(too_long) < len(spans)
+    model = make_model(vocab, rep_cfg, seed=31)
+    critic = CriticKind(FAMILY_NONE, POLARITY_BUGGY)
+    generation = generate_candidates(
+        model, entry.program, entry.name, spans, 2, critic, entry.suite, DEFAULT_FUEL, rep_cfg, vocab
+    )
+    assert generation.skipped == len(too_long)
+    anchors = [c.anchor for c in generation.candidates]
+    assert not set(anchors) & set(too_long)
+    assert anchors == [span for span in spans if span not in too_long for _ in range(2)]
+    assert generation.counts.generated == 2 * (len(spans) - len(too_long))
+
+
+@pytest.mark.parametrize("polarity", [POLARITY_CORRECT, POLARITY_BUGGY])
+def test_generate_candidates_identity_rule_follows_polarity(world, monkeypatch, polarity):
+    entries, vocab, rep_cfg = world
+    entry = _gcd(entries)
+    spans = enumerate_statement_locations(entry.ast)
+    _stub_beam(monkeypatch, lambda region: [region, region + " +"])
+    critic = CriticKind(FAMILY_NONE, polarity)
+    generation = generate_candidates(
+        None, entry.program, entry.name, spans, 2, critic, entry.suite, DEFAULT_FUEL, rep_cfg, vocab
+    )
+    identities = [c for c in generation.candidates if c.program.text == entry.program.text]
+    if polarity == POLARITY_CORRECT:
+        # a no-op fix is dropped before the critic sees it
+        assert identities == []
+        assert len(generation.candidates) == len(spans)
+    else:
+        # gen-bugs' generated == locations x K identity relies on keeping them
+        assert len(identities) == len(spans)
+        assert len(generation.candidates) == len(spans) * 2
+    assert generation.counts.generated == len(generation.candidates)
+    assert generation.counts.kept == len(generation.kept) == len(generation.candidates)
+
+
+def test_kept_agrees_with_batch_log_and_filter_counts(world, tmp_path, monkeypatch):
+    entries, vocab, rep_cfg = world
+    subset = small_world(entries, n_correct=2, n_buggy=2)
+    _stub_beam(monkeypatch, lambda region: [region, region + " +", region.replace("+", "-")])
+    generations = []
+
+    def spy(*args, **kwargs):
+        generations.append(generate_candidates(*args, **kwargs))
+        return generations[-1]
+
+    monkeypatch.setattr(backtranslate, "generate_candidates", spy)
+    monkeypatch.setattr(backtranslate, "_finetune", lambda *args: 0.0)  # bookkeeping only
+    cfg = LoopConfig(iterations=1, k_correct=3, k_buggy=3, critic_family="compiler", seed=32)
+    log, _ = bt_iteration(
+        make_model(vocab, rep_cfg, seed=33), make_model(vocab, rep_cfg, seed=34), subset,
+        initial_bug_seeds(subset), SampleStore(tmp_path / "store.jsonl"), cfg, rep_cfg, TRAIN_CFG, vocab,
+        iteration=1,
+    )
+    assert len(generations) == len(log.batches)
+    for generation, batch in zip(generations, log.batches):
+        kept_ids = {id(candidate) for candidate, _ in generation.kept}
+        flags = [record.accepted for record in batch.candidates]
+        assert flags == [id(c) in kept_ids for c in generation.candidates]
+        assert [record.text for record in batch.candidates] == [c.program.text for c in generation.candidates]
+        assert sum(flags) == generation.counts.kept == len(generation.kept)
+        assert len(flags) == generation.counts.generated
+        assert generation.counts.generated == (
+            generation.counts.kept + generation.counts.rejected_compile + generation.counts.rejected_tests
+        )
+    for phase, kept, candidates in (
+        ("fix_candidates", log.fix_kept, log.fix_candidates),
+        ("bug_candidates", log.bug_kept, log.bug_candidates),
+    ):
+        counts = [g.counts for g, b in zip(generations, log.batches) if b.phase == phase]
+        assert kept == sum(c.kept for c in counts)
+        assert candidates == sum(c.generated for c in counts)
+        # the stub makes both verdicts occur in both halves
+        assert 0 < kept < candidates

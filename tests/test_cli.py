@@ -233,3 +233,35 @@ def test_repair_without_tests_is_never_plausible(workspace, tmp_path, monkeypatc
     shutil.copy(corpus / "gcd_buggy.jay", tmp_path / "gcd_buggy.jay")
     assert main(["repair", str(tmp_path / "gcd_buggy.jay"), *argv, "--out", str(tmp_path / "b")]) == EXIT_OK
     assert "[compiles] 'fixed'" in capsys.readouterr().out
+
+
+def _documented(title: str) -> dict:
+    """The JSON example under the docs/reports.md heading that names a file."""
+    text = (Path(__file__).resolve().parent.parent / "docs" / "reports.md").read_text()
+    section = text.split(f"## `{title}`", 1)[1]
+    return json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+
+
+def _key_paths(value, path="$") -> set[str]:
+    """Every key path in a JSON value; the elements of a list share one path."""
+    if isinstance(value, dict):
+        return set().union(*({f"{path}.{k}"} | _key_paths(v, f"{path}.{k}") for k, v in value.items()))
+    if isinstance(value, list):
+        return set().union(set(), *(_key_paths(item, f"{path}[]") for item in value))
+    return set()
+
+
+def test_written_fields_match_docs(workspace, tmp_path):
+    root, config_path = workspace
+    (log_path,) = (root / "work" / "runs").glob("*/iter1/log.json")
+    log = json.loads(log_path.read_text())
+    assert any(batch["candidates"] for batch in log["batches"])
+    assert _key_paths(log) == _key_paths(_documented("runs/<id>/iter<k>/log.json"))
+    out_dir = tmp_path / "bugs"
+    assert main(["gen-bugs", "--config", str(config_path), "--critic", "none", "--out", str(out_dir)]) == EXIT_OK
+    manifest = json.loads((out_dir / "bugs_manifest.json").read_text())
+    assert _key_paths(manifest) == _key_paths(_documented("bugs_manifest.json"))
+    assert manifest["bugs"]
+    documented_meta = _key_paths(_documented("<stem>.meta.json"))
+    for stem in manifest["bugs"]:
+        assert _key_paths(json.loads((out_dir / f"{stem}.meta.json").read_text())) == documented_meta
