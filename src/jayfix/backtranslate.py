@@ -261,8 +261,13 @@ def _finetune(
     cfg: LoopConfig,
     train_cfg: TrainConfig,
     iteration: int,
-) -> float:
+) -> Optional[float]:
+    """Fine-tune on the store's samples for `direction` and return the
+    best validation loss, or None without training when fewer than two
+    samples leave nothing to train on after the hold-out."""
     samples = store.samples_for(direction, cfg.include_mechanical)
+    if len(samples) < 2:
+        return None
     split_seed = derive_seed(f"bt-{direction}-holdout", cfg.seed, iteration)
     train_set, val_set = split_holdout(samples, HOLDOUT_FRACTION, split_seed)
     result = train(model, train_set, val_set, train_cfg)
@@ -333,7 +338,7 @@ def _fixer_half(
     log.break_samples_appended = store.append(batch)
     if log.fix_kept > 0:
         log.breaker_val_loss = _finetune(breaker, DIRECTION_BREAK, store, cfg, train_cfg, iteration)
-        log.breaker_finetuned = True
+        log.breaker_finetuned = log.breaker_val_loss is not None
 
 
 def _breaker_half(
@@ -381,7 +386,7 @@ def _breaker_half(
     log.fix_samples_appended = store.append(batch)
     if log.bug_kept > 0:
         log.fixer_val_loss = _finetune(fixer, DIRECTION_FIX, store, cfg, train_cfg, iteration)
-        log.fixer_finetuned = True
+        log.fixer_finetuned = log.fixer_val_loss is not None
     return new_seeds
 
 

@@ -1,18 +1,26 @@
-"""Fuel-bounded tree-walking interpreter and test-suite runner.
+"""Fuel-bounded interpreter and test-suite runner.
 
-Every statement execution and expression evaluation charges one unit of
-fuel, so results are a pure deterministic function of (ast, entry, args,
-fuel). Exceeding the budget yields a FUEL_EXHAUSTED outcome rather than
-an exception; runtime failures (division by zero, bad index, oversized
-allocations, runaway recursion, integer overflow) become RUNTIME_ERROR
-outcomes. Arrays are plain value types: assignment and calls copy.
+A program is compiled once into nested Python closures, one per AST
+node (Feeley & Lapalme, "Using closures for code generation", 1987), and
+every run executes the closures. Variables are resolved to slots of a
+per-call frame at compile time, following the language's block scoping.
+
+Every statement execution, expression evaluation and `while` condition
+check charges one unit of fuel, so results are a pure deterministic
+function of (ast, entry, args, fuel). Exceeding the budget yields a
+FUEL_EXHAUSTED outcome rather than an exception; runtime failures
+(division by zero, bad index, oversized allocations, runaway recursion,
+integer overflow) become RUNTIME_ERROR outcomes. Arrays are plain value
+types: assignment and calls copy. Reading an array only to index it or
+take its length does not copy it.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .ast import (
     ArrayLit,
@@ -66,11 +74,6 @@ class _FuelExhausted(Exception):
     pass
 
 
-class _ReturnSignal(Exception):
-    def __init__(self, value: Value):
-        self.value = value
-
-
 def values_equal(a: Value, b: Value) -> bool:
     """Type-strict equality: bool never equals int, arrays compare elementwise."""
     if isinstance(a, bool) or isinstance(b, bool):
@@ -78,168 +81,6 @@ def values_equal(a: Value, b: Value) -> bool:
     if isinstance(a, list) or isinstance(b, list):
         return isinstance(a, list) and isinstance(b, list) and a == b
     return isinstance(a, int) and isinstance(b, int) and a == b
-
-
-class _Machine:
-    def __init__(self, ast: Ast, fuel: int):
-        self.functions = {fn.name: fn for fn in ast.functions}
-        self.fuel = fuel
-        self.depth = 0
-
-    def charge(self) -> None:
-        self.fuel -= 1
-        if self.fuel < 0:
-            raise _FuelExhausted()
-
-    def check_int(self, v: int) -> int:
-        if v < INT_MIN or v > INT_MAX:
-            raise _RuntimeFailure("integer overflow")
-        return v
-
-    def call(self, fn: FunctionDecl, args: list[Value]) -> Value:
-        if self.depth >= MAX_CALL_DEPTH:
-            raise _RuntimeFailure("call depth exceeded")
-        self.depth += 1
-        env: list[dict[str, Value]] = [{}]
-        for param, arg in zip(fn.params, args):
-            env[0][param.name] = list(arg) if isinstance(arg, list) else arg
-        try:
-            self.exec_block(fn.body, env)
-        except _ReturnSignal as signal:
-            return signal.value
-        finally:
-            self.depth -= 1
-        raise _RuntimeFailure(f"function '{fn.name}' finished without returning")
-
-    def exec_block(self, block: Block, env: list[dict[str, Value]]) -> None:
-        env.append({})
-        try:
-            for stmt in block.statements:
-                self.exec_statement(stmt, env)
-        finally:
-            env.pop()
-
-    def lookup_scope(self, env: list[dict[str, Value]], name: str) -> dict[str, Value]:
-        for scope in reversed(env):
-            if name in scope:
-                return scope
-        raise _RuntimeFailure(f"undefined variable '{name}'")
-
-    def exec_statement(self, stmt, env: list[dict[str, Value]]) -> None:
-        self.charge()
-        if isinstance(stmt, Let):
-            env[-1][stmt.name] = self.eval(stmt.value, env)
-        elif isinstance(stmt, Assign):
-            scope = self.lookup_scope(env, stmt.name)
-            scope[stmt.name] = self.eval(stmt.value, env)
-        elif isinstance(stmt, AssignIndex):
-            scope = self.lookup_scope(env, stmt.name)
-            array = scope[stmt.name]
-            index = self.eval(stmt.index, env)
-            value = self.eval(stmt.value, env)
-            if not isinstance(array, list):
-                raise _RuntimeFailure(f"'{stmt.name}' is not an array")
-            if not 0 <= index < len(array):
-                raise _RuntimeFailure(f"index {index} out of bounds for length {len(array)}")
-            array[index] = value
-        elif isinstance(stmt, If):
-            if self.eval(stmt.cond, env):
-                self.exec_block(stmt.then_block, env)
-            elif isinstance(stmt.else_branch, Block):
-                self.exec_block(stmt.else_branch, env)
-            elif isinstance(stmt.else_branch, If):
-                self.exec_statement(stmt.else_branch, env)
-        elif isinstance(stmt, While):
-            while True:
-                self.charge()  # each iteration's condition check costs fuel
-                if not self.eval(stmt.cond, env):
-                    break
-                self.exec_block(stmt.body, env)
-        elif isinstance(stmt, Return):
-            raise _ReturnSignal(self.eval(stmt.value, env))
-        else:  # pragma: no cover
-            raise AssertionError(f"unknown statement {stmt!r}")
-
-    def eval(self, expr, env: list[dict[str, Value]]) -> Value:
-        self.charge()
-        if isinstance(expr, IntLit):
-            return expr.value
-        if isinstance(expr, BoolLit):
-            return expr.value
-        if isinstance(expr, Var):
-            value = self.lookup_scope(env, expr.name)[expr.name]
-            return list(value) if isinstance(value, list) else value
-        if isinstance(expr, ArrayLit):
-            return [self.eval(item, env) for item in expr.items]
-        if isinstance(expr, Unary):
-            operand = self.eval(expr.operand, env)
-            if expr.op == "-":
-                return self.check_int(-operand)
-            return not operand
-        if isinstance(expr, Binary):
-            return self.eval_binary(expr, env)
-        if isinstance(expr, Call):
-            args = [self.eval(arg, env) for arg in expr.args]
-            if expr.func == "len":
-                return len(args[0])
-            if expr.func == "zeros":
-                n = args[0]
-                if n < 0:
-                    raise _RuntimeFailure(f"zeros({n}): negative length")
-                if n > MAX_ARRAY_LEN:
-                    raise _RuntimeFailure(f"zeros({n}): array too large")
-                return [0] * n
-            fn = self.functions.get(expr.func)
-            if fn is None:
-                raise _RuntimeFailure(f"undefined function '{expr.func}'")
-            if len(args) != len(fn.params):
-                raise _RuntimeFailure(f"'{expr.func}' takes {len(fn.params)} argument(s)")
-            return self.call(fn, args)
-        if isinstance(expr, Index):
-            base = self.eval(expr.base, env)
-            index = self.eval(expr.index, env)
-            if not isinstance(base, list):
-                raise _RuntimeFailure("cannot index a non-array value")
-            if not 0 <= index < len(base):
-                raise _RuntimeFailure(f"index {index} out of bounds for length {len(base)}")
-            return base[index]
-        raise AssertionError(f"unknown expression {expr!r}")  # pragma: no cover
-
-    def eval_binary(self, expr: Binary, env) -> Value:
-        op = expr.op
-        if op == "&&":
-            return bool(self.eval(expr.left, env)) and bool(self.eval(expr.right, env))
-        if op == "||":
-            return bool(self.eval(expr.left, env)) or bool(self.eval(expr.right, env))
-        left = self.eval(expr.left, env)
-        right = self.eval(expr.right, env)
-        if op == "+":
-            return self.check_int(left + right)
-        if op == "-":
-            return self.check_int(left - right)
-        if op == "*":
-            return self.check_int(left * right)
-        if op == "/":
-            if right == 0:
-                raise _RuntimeFailure("division by zero")
-            return self.check_int(_trunc_div(left, right))
-        if op == "%":
-            if right == 0:
-                raise _RuntimeFailure("modulo by zero")
-            return self.check_int(left - _trunc_div(left, right) * right)
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-        if op == "==":
-            return values_equal(left, right)
-        if op == "!=":
-            return not values_equal(left, right)
-        raise AssertionError(f"unknown operator {op}")  # pragma: no cover
 
 
 def _trunc_div(a: int, b: int) -> int:
@@ -250,24 +91,420 @@ def _trunc_div(a: int, b: int) -> int:
     return q
 
 
-def interpret(
-    ast: Ast,
-    entry: str,
-    args: list[Value],
-    fuel: int = DEFAULT_FUEL,
-) -> ExecResult:
-    """Run `entry(args)` under the given step budget."""
-    machine = _Machine(ast, fuel)
-    fn = machine.functions.get(entry)
-    if fn is None:
+# --- compilation ----------------------------------------------------------
+#
+# An expression compiles to `ev(frame, run) -> value` and a statement to
+# `ex(frame, run) -> value | None`: None lets the enclosing block go on,
+# anything else is the value of a `return` (no Jay value is None). `frame`
+# is the calling function's list of variable slots and `run` the state of
+# one execution. Each closure charges its own unit of fuel before it does
+# anything else, in the order the language defines. A call finds its
+# callee through `run`, so compiled functions never refer to each other
+# and a program is freed as soon as its last run ends.
+
+
+class _Program:
+    """A compiled program: each function's arity and `run(args, state)`."""
+
+    def __init__(self, ast: Ast):
+        decls = {fn.name: fn for fn in ast.functions}
+        self.arity = {name: len(fn.params) for name, fn in decls.items()}
+        self.functions = {name: _Compiler(self.arity).function(fn) for name, fn in decls.items()}
+
+
+class _Run:
+    """The state of one execution: the program's functions, the fuel left
+    and the current call depth."""
+
+    __slots__ = ("functions", "fuel", "depth")
+
+    def __init__(self, functions: dict[str, Callable], fuel: int):
+        self.functions = functions
+        self.fuel = fuel
+        self.depth = 0
+
+
+def _store(slot: int, value):
+    def ex(f, r):
+        r.fuel -= 1
+        if r.fuel < 0:
+            raise _FuelExhausted
+        f[slot] = value(f, r)
+
+    return ex
+
+
+def _undefined(name: str):
+    def ev(f, r):
+        r.fuel -= 1
+        if r.fuel < 0:
+            raise _FuelExhausted
+        raise _RuntimeFailure(f"undefined variable '{name}'")
+
+    return ev
+
+
+class _Compiler:
+    """Compiles one function; `scopes` maps each visible name to its slot."""
+
+    def __init__(self, arity: dict[str, int]):
+        self.arity = arity
+        self.scopes: list[dict[str, int]] = [{}]
+        self.slots = 0
+
+    def declare(self, name: str) -> int:
+        scope = self.scopes[-1]
+        if name not in scope:
+            scope[name] = self.slots
+            self.slots += 1
+        return scope[name]
+
+    def resolve(self, name: str) -> Optional[int]:
+        for scope in reversed(self.scopes):
+            if name in scope:
+                return scope[name]
+        return None
+
+    def function(self, fn: FunctionDecl):
+        params = tuple(self.declare(param.name) for param in fn.params)
+        body = self.block(fn.body)
+        size = self.slots
+        missing = f"function '{fn.name}' finished without returning"
+
+        def run(args, r):
+            if r.depth >= MAX_CALL_DEPTH:
+                raise _RuntimeFailure("call depth exceeded")
+            r.depth += 1
+            f = [None] * size
+            for slot, arg in zip(params, args):
+                f[slot] = list(arg) if isinstance(arg, list) else arg
+            for ex in body:
+                value = ex(f, r)
+                if value is not None:
+                    r.depth -= 1
+                    return value
+            raise _RuntimeFailure(missing)
+
+        return run
+
+    def block(self, block: Block) -> tuple:
+        self.scopes.append({})
+        try:
+            return tuple(self.statement(stmt) for stmt in block.statements)
+        finally:
+            self.scopes.pop()
+
+    # --- statements
+
+    def statement(self, stmt):
+        if isinstance(stmt, Let):
+            value = self.expr(stmt.value)  # before the new name is in scope
+            return _store(self.declare(stmt.name), value)
+        if isinstance(stmt, (Assign, AssignIndex)):
+            slot = self.resolve(stmt.name)
+            if slot is None:
+                return _undefined(stmt.name)
+            if isinstance(stmt, Assign):
+                return _store(slot, self.expr(stmt.value))
+            return self.assign_index(slot, stmt)
+        if isinstance(stmt, If):
+            return self.if_(stmt)
+        if isinstance(stmt, While):
+            return self.while_(stmt)
+        if isinstance(stmt, Return):
+            value = self.expr(stmt.value)
+
+            def ex(f, r):
+                r.fuel -= 1
+                if r.fuel < 0:
+                    raise _FuelExhausted
+                return value(f, r)
+
+            return ex
+        raise AssertionError(f"unknown statement {stmt!r}")  # pragma: no cover
+
+    def assign_index(self, slot: int, stmt: AssignIndex):
+        index, value, name = self.expr(stmt.index), self.expr(stmt.value), stmt.name
+
+        def ex(f, r):
+            r.fuel -= 1
+            if r.fuel < 0:
+                raise _FuelExhausted
+            array = f[slot]
+            i = index(f, r)
+            v = value(f, r)
+            if not isinstance(array, list):
+                raise _RuntimeFailure(f"'{name}' is not an array")
+            if not 0 <= i < len(array):
+                raise _RuntimeFailure(f"index {i} out of bounds for length {len(array)}")
+            array[i] = v
+
+        return ex
+
+    def if_(self, stmt: If):
+        cond, then = self.expr(stmt.cond), self.block(stmt.then_block)
+        otherwise: tuple = ()
+        if isinstance(stmt.else_branch, Block):
+            otherwise = self.block(stmt.else_branch)
+        elif isinstance(stmt.else_branch, If):
+            otherwise = (self.if_(stmt.else_branch),)  # an `else if` is charged as a statement
+
+        def ex(f, r):
+            r.fuel -= 1
+            if r.fuel < 0:
+                raise _FuelExhausted
+            for inner in then if cond(f, r) else otherwise:
+                value = inner(f, r)
+                if value is not None:
+                    return value
+
+        return ex
+
+    def while_(self, stmt: While):
+        cond, body = self.expr(stmt.cond), self.block(stmt.body)
+
+        def ex(f, r):
+            r.fuel -= 1
+            if r.fuel < 0:
+                raise _FuelExhausted
+            while True:
+                r.fuel -= 1  # each iteration's condition check costs fuel
+                if r.fuel < 0:
+                    raise _FuelExhausted
+                if not cond(f, r):
+                    return None
+                for inner in body:
+                    value = inner(f, r)
+                    if value is not None:
+                        return value
+
+        return ex
+
+    # --- expressions
+
+    def expr(self, expr, copy: bool = True):
+        """`copy=False` compiles a variable read whose array is only
+        indexed or measured, so it is not copied."""
+        if isinstance(expr, (IntLit, BoolLit)):
+            constant = expr.value
+
+            def ev(f, r):
+                r.fuel -= 1
+                if r.fuel < 0:
+                    raise _FuelExhausted
+                return constant
+
+            return ev
+        if isinstance(expr, Var):
+            return self.var(expr.name, copy)
+        if isinstance(expr, ArrayLit):
+            items = tuple(self.expr(item) for item in expr.items)
+
+            def ev(f, r):
+                r.fuel -= 1
+                if r.fuel < 0:
+                    raise _FuelExhausted
+                return [item(f, r) for item in items]
+
+            return ev
+        if isinstance(expr, Unary):
+            return self.unary(expr)
+        if isinstance(expr, Binary):
+            return self.binary(expr)
+        if isinstance(expr, Call):
+            return self.call(expr)
+        if isinstance(expr, Index):
+            return self.index(expr)
+        raise AssertionError(f"unknown expression {expr!r}")  # pragma: no cover
+
+    def var(self, name: str, copy: bool):
+        slot = self.resolve(name)
+        if slot is None:
+            return _undefined(name)
+        if not copy:
+
+            def ev(f, r):
+                r.fuel -= 1
+                if r.fuel < 0:
+                    raise _FuelExhausted
+                return f[slot]
+
+            return ev
+
+        def ev(f, r):
+            r.fuel -= 1
+            if r.fuel < 0:
+                raise _FuelExhausted
+            value = f[slot]
+            return list(value) if isinstance(value, list) else value
+
+        return ev
+
+    def unary(self, expr: Unary):
+        operand = self.expr(expr.operand)
+        if expr.op == "-":
+
+            def ev(f, r):
+                r.fuel -= 1
+                if r.fuel < 0:
+                    raise _FuelExhausted
+                v = -operand(f, r)
+                if v < INT_MIN or v > INT_MAX:
+                    raise _RuntimeFailure("integer overflow")
+                return v
+
+            return ev
+
+        def ev(f, r):
+            r.fuel -= 1
+            if r.fuel < 0:
+                raise _FuelExhausted
+            return not operand(f, r)
+
+        return ev
+
+    def binary(self, expr: Binary):
+        left, right, op = self.expr(expr.left), self.expr(expr.right), expr.op
+        if op in ("&&", "||"):
+            conjunction = op == "&&"
+
+            def ev(f, r):
+                r.fuel -= 1
+                if r.fuel < 0:
+                    raise _FuelExhausted
+                if bool(left(f, r)) is conjunction:
+                    return bool(right(f, r))
+                return not conjunction
+
+            return ev
+        if op in _ARITHMETIC:
+            arithmetic = _ARITHMETIC[op]
+
+            def ev(f, r):
+                r.fuel -= 1
+                if r.fuel < 0:
+                    raise _FuelExhausted
+                v = arithmetic(left(f, r), right(f, r))
+                if v < INT_MIN or v > INT_MAX:
+                    raise _RuntimeFailure("integer overflow")
+                return v
+
+            return ev
+        if op not in _COMPARISONS:  # pragma: no cover
+            raise AssertionError(f"unknown operator {op}")
+        compare = _COMPARISONS[op]
+
+        def ev(f, r):
+            r.fuel -= 1
+            if r.fuel < 0:
+                raise _FuelExhausted
+            return compare(left(f, r), right(f, r))
+
+        return ev
+
+    def call(self, expr: Call):
+        name = expr.func
+        args = tuple(self.expr(arg, copy=name != "len") for arg in expr.args)
+        if name == "len":
+
+            def ev(f, r):
+                r.fuel -= 1
+                if r.fuel < 0:
+                    raise _FuelExhausted
+                return len([arg(f, r) for arg in args][0])
+
+            return ev
+        if name == "zeros":
+
+            def ev(f, r):
+                r.fuel -= 1
+                if r.fuel < 0:
+                    raise _FuelExhausted
+                n = [arg(f, r) for arg in args][0]
+                if n < 0:
+                    raise _RuntimeFailure(f"zeros({n}): negative length")
+                if n > MAX_ARRAY_LEN:
+                    raise _RuntimeFailure(f"zeros({n}): array too large")
+                return [0] * n
+
+            return ev
+        if name not in self.arity:
+            failure = f"undefined function '{name}'"
+        elif len(args) != self.arity[name]:
+            failure = f"'{name}' takes {self.arity[name]} argument(s)"
+        else:
+            failure = None
+
+        def ev(f, r):
+            r.fuel -= 1
+            if r.fuel < 0:
+                raise _FuelExhausted
+            values = [arg(f, r) for arg in args]
+            if failure is not None:
+                raise _RuntimeFailure(failure)
+            return r.functions[name](values, r)
+
+        return ev
+
+    def index(self, expr: Index):
+        base, index = self.expr(expr.base, copy=False), self.expr(expr.index)
+
+        def ev(f, r):
+            r.fuel -= 1
+            if r.fuel < 0:
+                raise _FuelExhausted
+            array = base(f, r)
+            i = index(f, r)
+            if not isinstance(array, list):
+                raise _RuntimeFailure("cannot index a non-array value")
+            if not 0 <= i < len(array):
+                raise _RuntimeFailure(f"index {i} out of bounds for length {len(array)}")
+            return array[i]
+
+        return ev
+
+
+def _checked_div(a: int, b: int) -> int:
+    if b == 0:
+        raise _RuntimeFailure("division by zero")
+    return _trunc_div(a, b)
+
+
+def _checked_mod(a: int, b: int) -> int:
+    if b == 0:
+        raise _RuntimeFailure("modulo by zero")
+    return a - _trunc_div(a, b) * b
+
+
+_ARITHMETIC = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _checked_div,
+    "%": _checked_mod,
+}
+
+_COMPARISONS = {
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "==": values_equal,
+    "!=": lambda a, b: not values_equal(a, b),
+}
+
+
+def _execute(program: _Program, entry: str, args: list[Value], fuel: int) -> ExecResult:
+    if entry not in program.arity:
         return ExecResult(ExecStatus.RUNTIME_ERROR, detail=f"no function '{entry}'")
-    if len(args) != len(fn.params):
+    arity = program.arity[entry]
+    if len(args) != arity:
         return ExecResult(
             ExecStatus.RUNTIME_ERROR,
-            detail=f"'{entry}' takes {len(fn.params)} argument(s), got {len(args)}",
+            detail=f"'{entry}' takes {arity} argument(s), got {len(args)}",
         )
     try:
-        value = machine.call(fn, list(args))
+        value = program.functions[entry](list(args), _Run(program.functions, fuel))
     except _RuntimeFailure as failure:
         return ExecResult(ExecStatus.RUNTIME_ERROR, detail=failure.detail)
     except _FuelExhausted:
@@ -275,6 +512,16 @@ def interpret(
     except RecursionError:
         return ExecResult(ExecStatus.RUNTIME_ERROR, detail="call depth exceeded")
     return ExecResult(ExecStatus.OK, value=value)
+
+
+def interpret(
+    ast: Ast,
+    entry: str,
+    args: list[Value],
+    fuel: int = DEFAULT_FUEL,
+) -> ExecResult:
+    """Run `entry(args)` under the given step budget."""
+    return _execute(_Program(ast), entry, args, fuel)
 
 
 # --- test suites ----------------------------------------------------------
@@ -307,6 +554,10 @@ class TestSuite:
 
 @dataclass(frozen=True)
 class TestReport:
+    """Outcomes of a suite's cases in order, up to and including the
+    first case that does not pass; `counts` and `total` count the cases
+    that ran."""
+
     outcomes: tuple[tuple[str, CaseOutcome], ...]  # (case id, outcome)
     counts: dict[CaseOutcome, int] = field(compare=False, default_factory=dict)
 
@@ -324,10 +575,13 @@ class TestReport:
 
 
 def run_tests(ast: Ast, suite: TestSuite, fuel: int = DEFAULT_FUEL) -> TestReport:
-    """Execute every case with its own fuel budget; failures become outcomes."""
+    """Compile once, then run the cases in order, each with its own fuel
+    budget, and stop at the first that does not pass."""
+    program = _Program(ast)
     outcomes: list[tuple[str, CaseOutcome]] = []
+    counts = {kind: 0 for kind in CaseOutcome}
     for case in suite.cases:
-        result = interpret(ast, case.entry, list(case.args), fuel=fuel)
+        result = _execute(program, case.entry, list(case.args), fuel)
         if result.status is ExecStatus.FUEL_EXHAUSTED:
             outcome = CaseOutcome.FUEL_EXHAUSTED
         elif result.status is ExecStatus.RUNTIME_ERROR:
@@ -337,7 +591,7 @@ def run_tests(ast: Ast, suite: TestSuite, fuel: int = DEFAULT_FUEL) -> TestRepor
         else:
             outcome = CaseOutcome.WRONG_VALUE
         outcomes.append((case.id, outcome))
-    counts = {kind: 0 for kind in CaseOutcome}
-    for _, outcome in outcomes:
         counts[outcome] += 1
+        if outcome is not CaseOutcome.PASS:
+            break
     return TestReport(tuple(outcomes), counts)

@@ -4,12 +4,19 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from jayfix.corpus import load_corpus
 from jayfix.representation import RepresentationConfig, Vocabulary
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CORPUS_DIR = REPO_ROOT / "corpus"
+
+# Property tests draw the same examples on every run: seeded from each
+# test's own hash, with no deadline, and with no example database, so a
+# run never replays examples that an earlier run stored.
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

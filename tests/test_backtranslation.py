@@ -328,3 +328,32 @@ def test_kept_agrees_with_batch_log_and_filter_counts(world, tmp_path, monkeypat
         assert candidates == sum(c.generated for c in counts)
         # the stub makes both verdicts occur in both halves
         assert 0 < kept < candidates
+
+
+def test_single_kept_candidate_skips_the_finetune(world, tmp_path, monkeypatch):
+    # one kept bug on an empty store is one fix sample: the hold-out would
+    # leave no training set, so the fixer's fine-tune is skipped
+    entries, vocab, rep_cfg = world
+    subset = small_world(entries, n_correct=1, n_buggy=0)
+    kept = []
+
+    def proposals(region):  # the first one-line region is proposed unchanged
+        if kept or "\n" in region:
+            return [region + " +"]
+        kept.append(region)
+        return [region]
+
+    _stub_beam(monkeypatch, proposals)
+    cfg = LoopConfig(
+        iterations=1, k_correct=1, k_buggy=1, critic_family="compiler", include_mechanical=False, seed=35
+    )
+    store = SampleStore(tmp_path / "store.jsonl")
+    log, new_seeds = bt_iteration(
+        make_model(vocab, rep_cfg, seed=36), make_model(vocab, rep_cfg, seed=37), subset,
+        initial_bug_seeds(subset), store, cfg, rep_cfg, TRAIN_CFG, vocab, iteration=1,
+    )
+    assert (log.fix_kept, log.bug_kept, log.fix_samples_appended) == (0, 1, 1)
+    assert len(store.samples_for("fix", include_mechanical=False)) == 1
+    assert len(new_seeds) == 1
+    assert (log.fixer_finetuned, log.fixer_val_loss) == (False, None)
+    assert (log.breaker_finetuned, log.breaker_val_loss) == (False, None)

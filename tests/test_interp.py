@@ -1,16 +1,29 @@
 from __future__ import annotations
 
+import re
+import sys
+
+import pytest
+import treewalk
+from hypothesis import given, settings, strategies as st
+from test_pretty_locations import _exprs
+
+from jayfix.mechanical import DEFAULT_RULES, generate_mechanical_dataset
 from jayfix.minilang import (
+    DEFAULT_FUEL,
     CaseOutcome,
     ExecStatus,
     Span,
     TestCase,
     TestSuite,
+    analyze,
+    interp,
     interpret,
     parse,
     run_tests,
     splice,
 )
+from jayfix.representation import RepresentationConfig
 
 GCD = """\
 fn gcd(a: int, b: int) -> int {
@@ -138,3 +151,265 @@ def test_bool_and_int_values_are_distinct():
     suite = TestSuite((TestCase("t", "f", (), 1),))
     report = run_tests(ast, suite)
     assert report.outcomes[0][1] is CaseOutcome.WRONG_VALUE
+
+
+# --- early exit --------------------------------------------------------------
+
+
+def test_suite_stops_at_its_first_failing_case(monkeypatch):
+    ast = parse(
+        "fn one() -> int { return 2; }\n"
+        "fn spin() -> int { while (true) {} return 0; }\n"
+    )
+    suite = TestSuite((TestCase("wrong", "one", (), 1), TestCase("loops", "spin", (), 0)))
+    entries = []
+    execute = interp._execute
+
+    def spy(program, entry, args, fuel):
+        entries.append(entry)
+        return execute(program, entry, args, fuel)
+
+    monkeypatch.setattr(interp, "_execute", spy)
+    report = run_tests(ast, suite)
+    assert report.outcomes == (("wrong", CaseOutcome.WRONG_VALUE),)
+    assert entries == ["one"]
+    assert report.total == 1 and report.any_failure
+    assert report.counts[CaseOutcome.WRONG_VALUE] == 1
+    assert report.counts[CaseOutcome.FUEL_EXHAUSTED] == 0
+
+
+def _oracle_case(ast, case):
+    """The tree walker's outcome of one case, or the Python exception it
+    raised (ill-typed programs can fail inside Python itself)."""
+    try:
+        return treewalk.run_tests(ast, TestSuite((case,))).outcomes[0][1]
+    except Exception as error:
+        return error
+
+
+def test_early_exit_agrees_with_full_suites(corpus_programs, mutant_programs):
+    stopped = 0
+    for label, ast, suite in corpus_programs + mutant_programs:
+        expected = []
+        for case in suite.cases:
+            expected.append((case.id, _oracle_case(ast, case)))
+            if expected[-1][1] is not CaseOutcome.PASS:
+                break
+        last = expected[-1][1]
+        if isinstance(last, Exception):
+            with pytest.raises(type(last), match=re.escape(str(last))):
+                run_tests(ast, suite)
+            continue
+        report = run_tests(ast, suite)
+        assert report.outcomes == tuple(expected), label
+        assert report.all_pass == treewalk.run_tests(ast, suite).all_pass, label
+        assert report.total == sum(report.counts.values()) == len(expected), label
+        stopped += len(expected) < len(suite.cases)
+    assert stopped > 100  # most mutants fail before their suite's last case
+
+
+# --- differential: compiled closures against the tree-walking oracle ----------
+
+
+@pytest.fixture(scope="module")
+def deep_stack():
+    """Room for MAX_CALL_DEPTH nested calls in either interpreter, so that
+    runaway recursion stops at the depth check rather than at Python's
+    own recursion limit, which the two reach at different depths."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 20_000))
+    yield
+    sys.setrecursionlimit(limit)
+
+
+@pytest.fixture(scope="module")
+def corpus_programs(corpus_entries):
+    programs = [(entry.name, entry.ast, entry.suite) for entry in corpus_entries]
+    programs += [
+        (f"{entry.name} reference fix", parse(entry.reference_fix.text), entry.suite)
+        for entry in corpus_entries
+        if entry.reference_fix is not None
+    ]
+    return programs
+
+
+@pytest.fixture(scope="module")
+def mutant_programs(corpus_entries, vocab):
+    """Every mechanical mutant of every correct program (no per-location
+    cap, no length budget), typechecking or not."""
+    correct = [entry for entry in corpus_entries if entry.status == "correct"]
+    unbounded = RepresentationConfig(max_input_len=1 << 20, max_target_len=1 << 20)
+    _, bugs, _ = generate_mechanical_dataset(correct, DEFAULT_RULES, unbounded, vocab, per_location_cap=0)
+    suites = {entry.name: entry.suite for entry in correct}
+    programs = []
+    for i, bug in enumerate(bugs):
+        ast, _ = analyze(bug.mutant)
+        if ast is not None:
+            programs.append((f"{bug.base_name} mutant {i} ({bug.rule_id})", ast, suites[bug.base_name]))
+    assert len(programs) > 500
+    return programs
+
+
+def _run(interpreter, ast, entry, args, fuel):
+    """(status, value, detail) of one run, with the value's repr so that
+    True never equals 1, or the Python exception it raised."""
+    try:
+        result = interpreter(ast, entry, list(args), fuel)
+    except Exception as error:
+        return ("raised", type(error).__name__, str(error))
+    return (result.status, repr(result.value), result.detail)
+
+
+def _exhausted(outcome) -> bool:
+    return outcome[0] is ExecStatus.FUEL_EXHAUSTED
+
+
+def _assert_same(ast, entry, args, fuel, label=""):
+    """Equal outcomes at `fuel`, and the same least fuel at which the run
+    stops exhausting it: bisection on the compiled interpreter, then the
+    tree walker must exhaust one unit below that fuel and not at it. No
+    run may change the caller's arguments."""
+    before = repr(args)
+    compiled = _run(interpret, ast, entry, args, fuel)
+    assert compiled == _run(treewalk.interpret, ast, entry, args, fuel), label
+    if not _exhausted(compiled):
+        low, high = -1, fuel  # exhausts at `low` (fuel -1 stands for "always"), not at `high`
+        while high - low > 1:
+            mid = (low + high) // 2
+            if _exhausted(_run(interpret, ast, entry, args, mid)):
+                low = mid
+            else:
+                high = mid
+        assert _run(treewalk.interpret, ast, entry, args, high) == compiled, (label, high)
+        if high > 0:
+            assert _exhausted(_run(treewalk.interpret, ast, entry, args, high - 1)), (label, high)
+    assert repr(args) == before, label
+
+
+def test_compiled_matches_tree_walker_on_corpus(corpus_programs, deep_stack):
+    for label, ast, suite in corpus_programs:
+        for case in suite.cases:
+            _assert_same(ast, case.entry, case.args, DEFAULT_FUEL, f"{label}/{case.id}")
+
+
+def test_compiled_matches_tree_walker_on_mutants(mutant_programs, deep_stack):
+    for label, ast, suite in mutant_programs:
+        for case in suite.cases:
+            _assert_same(ast, case.entry, case.args, DEFAULT_FUEL, f"{label}/{case.id}")
+
+
+FIXED = [
+    # scoping: a `let` in a loop body shadows only from its own statement on
+    ("fn f(n: int) -> int { let x: int = 1; let i: int = 0;"
+     " while (i < n) { x = x + 1; let x: int = 100; x = x + i; i = i + 1; } return x; }", "f", (3,)),
+    ("fn f(a: int, a: int) -> int { let a: int = a * 10; return a; }", "f", (1, 2)),
+    ("fn f() -> int { if (true) { let y: int = 1; } return y; }", "f", ()),
+    ("fn f() -> int { z = 1; return 0; }", "f", ()),
+    ("fn f() -> int { q[0] = 1; return 0; }", "f", ()),
+    ("fn f(x: int) -> int { x[0] = 1; return 0; }", "f", (4,)),
+    ("fn f(x: int) -> int { return x[0]; }", "f", (4,)),
+    ("fn f(x: int) -> int { let x: int = x + 1; return x; }", "f", (4,)),
+    # else-if chains charge a statement per `if`
+    ("fn f(n: int) -> int { if (n == 0) { return 10; } else if (n == 1) { return 11; }"
+     " else if (n == 2) { return 12; } else { return 13; } }", "f", (2,)),
+    ("fn f(n: int) -> int { if (n == 0) { return 10; } else if (n == 1) { return 11; } return 14; }", "f", (5,)),
+    # short circuits and strict equality
+    ("fn f(n: int) -> bool { return n > 0 && 10 / n > 1 || !(n == 0) && false; }", "f", (0,)),
+    ("fn f(n: int) -> bool { return n > 0 || 10 / n > 1; }", "f", (0,)),
+    ("fn f() -> bool { return [1, 2] == [1, 2] && [1] != [1, 2] && true != false; }", "f", ()),
+    # arrays: value semantics on let, assignment, call and return; reads that only index or measure
+    ("fn g(a: int[]) -> int[] { a[0] = 7; return a; }\n"
+     "fn f() -> int { let a: int[] = [1, 2, 3]; let b: int[] = a; b[1] = 9; let c: int[] = g(a);"
+     " a = c; c[2] = 5; return a[0] * 100 + a[1] * 10 + a[2] + b[1] * 1000 + len(b) * 10000; }", "f", ()),
+    ("fn f(a: int[]) -> int[] { let b: int[] = a; b[0] = -1; return a; }", "f", ([4, 5],)),
+    ("fn f(a: int[]) -> int { a[0] = 9; return a[0] + len(a); }", "f", ([4, 5],)),
+    ("fn f(n: int) -> int { let a: int[] = zeros(n); let i: int = 0;"
+     " while (i < len(a)) { a[i] = i * i; i = i + 1; } return a[n - 1] + len(a); }", "f", (6,)),
+    ("fn f() -> int { let a: int[] = [1]; a[1] = 2; return 0; }", "f", ()),
+    ("fn f() -> int { let a: int[] = [1]; return a[0 - 1]; }", "f", ()),
+    ("fn f() -> int[] { return zeros(0 - 1); }", "f", ()),
+    ("fn f() -> int[] { return zeros(2000000); }", "f", ()),
+    # arithmetic: truncation, division and modulo by zero, overflow
+    ("fn f(a: int, b: int) -> int { return a / b * 1000 + a % b; }", "f", (-7, 2)),
+    ("fn f(a: int) -> int { return 1 / a; }", "f", (0,)),
+    ("fn f(a: int) -> int { return 1 % a; }", "f", (0,)),
+    ("fn f(a: int) -> int { return -a; }", "f", (-(1 << 63),)),
+    ("fn f() -> int { let x: int = 3037000500; return x * x; }", "f", ()),
+    ("fn f() -> int { let x: int = 9223372036854775807; return x + 1 - 1; }", "f", ()),
+    # calls: recursion, depth limit, arity, unknown functions, missing return
+    ("fn fib(n: int) -> int { if (n < 2) { return n; } return fib(n - 1) + fib(n - 2); }", "fib", (12,)),
+    ("fn f(n: int) -> int { return 1 + f(n + 1); }", "f", (0,)),
+    ("fn f(n: int) -> int { if (n == 0) { return 0; } return f(n - 1); }", "f", (199,)),
+    ("fn f(n: int) -> int { if (n == 0) { return 0; } return f(n - 1); }", "f", (200,)),
+    ("fn f(n: int) -> int { if (n > 0) { if (n > 0) { if (n > 0) { return 1 + f(n - 1); } } } return 0; }",
+     "f", (300,)),
+    ("fn g(a: int) -> int { return a; }\nfn f() -> int { return g(1, 2); }", "f", ()),
+    ("fn f() -> int { return h(1 / 0); }", "f", ()),
+    ("fn f() -> int { return h(1); }", "f", ()),
+    ("fn f(n: int) -> int { while (n > 0) { n = n - 1; } }", "f", (3,)),
+    ("fn f(n: int) -> int { return n; }", "f", (1, 2)),
+    ("fn f(n: int) -> int { return n; }", "g", (1,)),
+    ("fn f() -> int { return 1; }\nfn f() -> int { return 2; }", "f", ()),
+    # runs that never end
+    ("fn f() -> int { let i: int = 0; while (i >= 0) { i = i + 1; } return i; }", "f", ()),
+    ("fn f(n: int) -> int { while (true) { if (n > 0) { return n; } } return 0; }", "f", (0,)),
+]
+
+
+@pytest.mark.parametrize("source, entry, args", FIXED)
+def test_compiled_matches_tree_walker_on_fixed_programs(source, entry, args, deep_stack):
+    _assert_same(parse(source), entry, args, DEFAULT_FUEL)
+
+
+GENERATED = """\
+fn step(a: int, b: int, c: int, xs: int) -> int {{
+    if ({e[0]} < {e[1]} || !({e[2]} != 0)) {{
+        return {e[3]};
+    }} else if ({e[4]} == {e[5]} && c > 0) {{
+        return step(b, c - 1, xs, a);
+    }}
+    return {e[6]};
+}}
+
+fn shift(ys: int[], a: int) -> int[] {{
+    ys[0] = a;
+    return ys;
+}}
+
+fn main(a: int, b: int, c: int, xs: int) -> int {{
+    let arr: int[] = zeros({e[7]} % 6 + 5);
+    let ys: int[] = [{e[8]}, a, b];
+    let zs: int[] = ys;
+    zs[1] = {e[9]};
+    let ws: int[] = shift(ys, {e[10]});
+    let i: int = 0;
+    while (i < len(arr)) {{
+        arr[i] = {e[11]} + ys[i % len(ys)];
+        if (arr[i] > {e[12]}) {{
+            xs = xs + step(a, b, i, xs);
+        }} else {{
+            let c: int = arr[i] - {e[13]};
+            b = b - c;
+        }}
+        i = i + 1;
+    }}
+    let j: int = 0;
+    while (j < {e[15]} * 10) {{
+        j = j + 1;
+    }}
+    if (ys == zs) {{
+        return 0 - 1;
+    }}
+    return xs + j + arr[{e[14]} % (len(arr) + 1)] + ys[1] * 3 + zs[1] * 5 + ws[0] * 7;
+}}
+"""
+
+
+@settings(max_examples=150)
+@given(
+    exprs=st.lists(_exprs(2), min_size=16, max_size=16),
+    args=st.tuples(*[st.integers(min_value=-3, max_value=60)] * 4),
+)
+def test_compiled_matches_tree_walker_on_generated_programs(exprs, args, deep_stack):
+    ast = parse(GENERATED.format(e=exprs))
+    _assert_same(ast, "main", args, 3_000)
