@@ -39,6 +39,7 @@ from .corpus import (
     TrainingSample,
     buggy_entries,
     correct_entries,
+    sample_from_edit,
     split_holdout,
 )
 from .critics import (
@@ -55,18 +56,13 @@ from .minilang import (
     Span,
     SpliceResult,
     TestSuite,
+    derive_fault_region,
     enumerate_statement_locations,
     splice_region,
 )
 from .model import BeamScorer, Seq2SeqModel, TrainConfig, beam_search, save_checkpoint, train
-from .representation import (
-    RegionTooLong,
-    RepresentationConfig,
-    Vocabulary,
-    build_input,
-    encode_target,
-)
-from .util import content_hash, derive_rng, derive_seed
+from .representation import RegionTooLong, RepresentationConfig, Vocabulary, build_input
+from .util import content_hash, derive_rng, derive_seed, write_json
 
 HOLDOUT_FRACTION = 0.02
 
@@ -212,8 +208,6 @@ def generate_candidates(
 def initial_bug_seeds(entries: list[CorpusEntry]) -> list[BugSeed]:
     """Seed the fixer side with the buggy corpus; the fault region is
     recovered by diffing each entry against its reference fix."""
-    from .evaluate import derive_fault_region
-
     seeds = []
     for entry in buggy_entries(entries):
         if entry.reference_fix is None:
@@ -221,37 +215,6 @@ def initial_bug_seeds(entries: list[CorpusEntry]) -> list[BugSeed]:
         span, _ = derive_fault_region(entry.program.text, entry.reference_fix.text)
         seeds.append(BugSeed(program=entry.program, region=span, base_name=entry.name))
     return seeds
-
-
-def _sample_from_edit(
-    direction: str,
-    program: SourceProgram,
-    region: Span,
-    target_lines: tuple[str, ...],
-    base_name: str,
-    iteration: int,
-    rep_cfg: RepresentationConfig,
-    vocab: Vocabulary,
-    log: IterationLog,
-) -> Optional[TrainingSample]:
-    target = encode_target("\n".join(target_lines), rep_cfg, vocab)
-    if target is None:
-        log.rejected_length += 1
-        return None
-    try:
-        input_tokens = build_input(program, region, rep_cfg, vocab)
-    except RegionTooLong:
-        log.rejected_length += 1
-        return None
-    return TrainingSample(
-        direction=direction,
-        input_tokens=tuple(input_tokens),
-        target_tokens=tuple(target),
-        origin=ORIGIN_BACKTRANSLATION,
-        iteration=iteration,
-        source_program=base_name,
-        span=region,
-    )
 
 
 def _finetune(
@@ -301,12 +264,13 @@ def _log_batch(
         log.bug_kept += len(generation.kept)
         direction = DIRECTION_FIX
     samples = [
-        _sample_from_edit(
+        sample_from_edit(
             direction, c.program, c.splice.mutant_region, c.splice.base_region_lines,
-            base_name, iteration, rep_cfg, vocab, log,
+            base_name, ORIGIN_BACKTRANSLATION, iteration, rep_cfg, vocab,
         )
         for c, _verdict in generation.kept
     ]
+    log.rejected_length += samples.count(None)
     return [sample for sample in samples if sample is not None]
 
 
@@ -432,8 +396,6 @@ def run_loop(
 ) -> list[IterationLog]:
     """N alternating iterations; per-iteration checkpoints and logs are
     persisted under run_dir/iter<k>/ when a run directory is given."""
-    import json
-
     logs: list[IterationLog] = []
     bug_seeds = initial_bug_seeds(entries)
     for iteration in range(1, cfg.iterations + 1):
@@ -462,7 +424,5 @@ def run_loop(
             iter_dir.mkdir(parents=True, exist_ok=True)
             save_checkpoint(fixer, iter_dir / "fixer.ckpt")
             save_checkpoint(breaker, iter_dir / "breaker.ckpt")
-            (iter_dir / "log.json").write_text(
-                json.dumps(asdict(log), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
+            write_json(iter_dir / "log.json", asdict(log))
     return logs

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import difflib
-import json
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -47,7 +46,7 @@ from .model import (
     train,
 )
 from .representation import RegionTooLong, Vocabulary
-from .util import content_hash, derive_seed
+from .util import content_hash, derive_seed, write_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -92,9 +91,18 @@ def _load_config(args) -> RunConfig:
 
 def _echo_config(cfg: RunConfig, directory: Path, vocab_size=None) -> None:
     directory.mkdir(parents=True, exist_ok=True)
-    (directory / "config.json").write_text(
-        json.dumps(cfg.resolved_json(vocab_size), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
+    write_json(directory / "config.json", cfg.resolved_json(vocab_size))
+
+
+def _unified_diff(name: str, base_text: str, mutant_text: str) -> str:
+    """The unified diff that turns corpus program `name` into a mutant of it."""
+    return "".join(
+        difflib.unified_diff(
+            base_text.splitlines(keepends=True),
+            mutant_text.splitlines(keepends=True),
+            fromfile=f"a/{name}.jay",
+            tofile=f"b/{name}.jay",
+        )
     )
 
 
@@ -167,20 +175,11 @@ def cmd_gen_mechanical(args) -> int:
     mutants_dir.mkdir(exist_ok=True)
     by_base = {e.name: e.program.text for e in correct}
     for index, bug in enumerate(bugs):
-        diff = "".join(
-            difflib.unified_diff(
-                by_base[bug.base_name].splitlines(keepends=True),
-                bug.mutant.text.splitlines(keepends=True),
-                fromfile=f"a/{bug.base_name}.jay",
-                tofile=f"b/{bug.base_name}.jay",
-            )
-        )
+        diff = _unified_diff(bug.base_name, by_base[bug.base_name], bug.mutant.text)
         (mutants_dir / f"{index:05d}_{bug.base_name}_{bug.rule_id}.diff").write_text(
             diff, encoding="utf-8"
         )
-    (paths["work"] / "mechanical_report.json").write_text(
-        json.dumps(asdict(report), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(paths["work"] / "mechanical_report.json", asdict(report))
     _echo_config(cfg, paths["work"], vocab_size=vocab.size)
     counts = store.counts()
     print(
@@ -223,9 +222,7 @@ def cmd_init_train(args) -> int:
             f"{role}: trained on {len(train_set)}/{len(val_set)} samples, "
             f"best val loss {result.best_val_loss:.4f} at epoch {result.best_epoch}"
         )
-    (paths["init"] / "curves.json").write_text(
-        json.dumps(curves, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(paths["init"] / "curves.json", curves)
     _echo_config(cfg, paths["init"], vocab_size=vocab.size)
     return EXIT_OK
 
@@ -398,25 +395,15 @@ def cmd_gen_bugs(args) -> int:
             text = candidate.program.text
             region = candidate.splice.mutant_region
             (out_dir / f"{stem}.jay").write_text(text, encoding="utf-8")
-            diff = "".join(
-                difflib.unified_diff(
-                    entry.program.text.splitlines(keepends=True),
-                    text.splitlines(keepends=True),
-                    fromfile=f"a/{entry.name}.jay",
-                    tofile=f"b/{entry.name}.jay",
-                )
-            )
             meta = {
                 "base": entry.name,
                 "anchor_span": [candidate.anchor.start_line, candidate.anchor.end_line],
                 "region": [region.start_line, region.end_line],
                 "critic_family": critic.family,
                 "evidence": verdict.evidence,
-                "diff": diff,
+                "diff": _unified_diff(entry.name, entry.program.text, text),
             }
-            (out_dir / f"{stem}.meta.json").write_text(
-                json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
+            write_json(out_dir / f"{stem}.meta.json", meta)
             emitted.append(stem)
     manifest = {
         "critic_family": critic.family,
@@ -429,9 +416,7 @@ def cmd_gen_bugs(args) -> int:
         "rejected_tests": rejected_tests,
         "bugs": emitted,
     }
-    (out_dir / "bugs_manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(out_dir / "bugs_manifest.json", manifest)
     _echo_config(cfg, out_dir, vocab_size=vocab.size)
     print(
         f"gen-bugs[{critic.family}]: {locations_total} locations x K={loop_cfg.k_buggy} -> "

@@ -6,7 +6,7 @@ its output directory."""
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Optional
 
@@ -20,6 +20,21 @@ def _default_jobs() -> int:
     import os
 
     return max(1, os.cpu_count() or 1)
+
+
+# the dataclass each section's overrides are passed to
+_SECTIONS = {
+    "model": ModelConfig,
+    "train": TrainConfig,
+    "loop": LoopConfig,
+    "representation": RepresentationConfig,
+}
+
+
+def _reject_unknown_keys(raw: dict, cls, where: str) -> None:
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
 @dataclass
@@ -44,16 +59,19 @@ class RunConfig:
 
     @staticmethod
     def from_json(raw: dict) -> "RunConfig":
+        """A config from parsed JSON. A key that names no setting, at the
+        top level or in a section, is an error rather than ignored."""
+        if not isinstance(raw, dict):
+            raise ValueError("config must be a JSON object")
+        _reject_unknown_keys(raw, RunConfig, "config")
         cfg = RunConfig()
-        for key in ("seed", "corpus_dir", "work_dir", "jobs", "eval_k", "fuel",
-                    "per_location_cap", "model_preset"):
-            if key in raw:
-                setattr(cfg, key, raw[key])
-        for key in ("model", "train", "loop", "representation"):
-            if key in raw:
-                if not isinstance(raw[key], dict):
+        for key, value in raw.items():
+            if key in _SECTIONS:
+                if not isinstance(value, dict):
                     raise ValueError(f"config section {key!r} must be an object")
-                setattr(cfg, key, dict(raw[key]))
+                _reject_unknown_keys(value, _SECTIONS[key], f"config section {key!r}")
+                value = dict(value)
+            setattr(cfg, key, value)
         return cfg
 
     def apply_overrides(
@@ -123,3 +141,4 @@ class RunConfig:
         else:
             out["model"] = dict(self.model)
         return out
+

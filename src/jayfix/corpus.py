@@ -19,7 +19,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +32,13 @@ from .minilang import (
     analyze,
     run_tests,
     DEFAULT_FUEL,
+)
+from .representation import (
+    RegionTooLong,
+    RepresentationConfig,
+    Vocabulary,
+    build_input,
+    encode_target,
 )
 from .util import content_hash, round_half_up
 
@@ -204,6 +211,39 @@ class TrainingSample:
             source_program=raw["source_program"],
             span=Span(raw["span"][0], raw["span"][1]),
         )
+
+
+def sample_from_edit(
+    direction: str,
+    program: SourceProgram,
+    region: Span,
+    target_lines: Sequence[str],
+    source_program: str,
+    origin: str,
+    iteration: int,
+    rep_cfg: RepresentationConfig,
+    vocab: Vocabulary,
+) -> Optional[TrainingSample]:
+    """The sample whose input marks `region` of `program` and whose target
+    is `target_lines`, the text that replaces it; the one encoding of an
+    edit, whether it came from a corruption rule or from a model. None
+    when the target or the marked input is over its length budget."""
+    target = encode_target("\n".join(target_lines), rep_cfg, vocab)
+    if target is None:
+        return None
+    try:
+        input_tokens = build_input(program, region, rep_cfg, vocab)
+    except RegionTooLong:
+        return None
+    return TrainingSample(
+        direction=direction,
+        input_tokens=tuple(input_tokens),
+        target_tokens=tuple(target),
+        origin=origin,
+        iteration=iteration,
+        source_program=source_program,
+        span=region,
+    )
 
 
 def split_holdout(

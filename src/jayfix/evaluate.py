@@ -17,7 +17,6 @@ denominator explicitly (all generated candidates over all tasks).
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -32,12 +31,14 @@ from .minilang import (
     Span,
     analyze,
     ast_equal_normalized,
+    derive_fault_region,
     run_tests,
     splice_region,
     TestSuite,
 )
 from .model import Seq2SeqModel
 from .representation import RegionTooLong, RepresentationConfig, Vocabulary
+from .util import write_json
 
 
 @dataclass(frozen=True)
@@ -48,41 +49,6 @@ class RepairTask:
     fault_span: Span
     reference: SourceProgram
     reference_ast: Ast = field(compare=False)
-
-
-def derive_fault_region(buggy_text: str, fixed_text: str) -> tuple[Span, list[str]]:
-    """Contiguous differing line block between a buggy program and its
-    fix: the span to replace in the buggy text plus the replacement
-    lines. Pure insertions/deletions absorb an unchanged neighbor line
-    so the span and the replacement are both non-empty."""
-    if buggy_text == fixed_text:
-        raise ValueError("programs are identical; no fault region")
-    buggy = buggy_text.split("\n")
-    fixed = fixed_text.split("\n")
-    top = 0
-    while top < len(buggy) and top < len(fixed) and buggy[top] == fixed[top]:
-        top += 1
-    bottom = 0
-    while (
-        bottom < len(buggy) - top
-        and bottom < len(fixed) - top
-        and buggy[len(buggy) - 1 - bottom] == fixed[len(fixed) - 1 - bottom]
-    ):
-        bottom += 1
-    buggy_block = buggy[top : len(buggy) - bottom]
-    replacement = fixed[top : len(fixed) - bottom]
-    if buggy_block and replacement:
-        return Span(top + 1, len(buggy) - bottom), replacement
-    if not buggy_block:
-        # insertion: anchor the span on the unchanged neighbor line
-        if top < len(buggy):
-            return Span(top + 1, top + 1), replacement + [buggy[top]]
-        return Span(top, top), [buggy[top - 1]] + replacement
-    # deletion: absorb the following line, or the preceding one at EOF
-    end = len(buggy) - bottom
-    if end < len(buggy):
-        return Span(top + 1, end + 1), [buggy[end]]
-    return Span(top, end), [buggy[top - 1]]
 
 
 def tasks_from_corpus(entries: Sequence[CorpusEntry]) -> list["RepairTask"]:
@@ -245,9 +211,7 @@ class EvalReport:
         }
 
     def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_json(path, self.to_json())
 
     def write_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:

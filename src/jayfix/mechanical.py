@@ -28,6 +28,7 @@ from .corpus import (
     DIRECTION_FIX,
     ORIGIN_MECHANICAL,
     TrainingSample,
+    sample_from_edit,
 )
 from .minilang import (
     Ast,
@@ -38,6 +39,7 @@ from .minilang import (
     line_indent,
     parse,
     splice_region,
+    walk_expressions,
     walk_statements,
 )
 from .minilang.ast import (
@@ -53,13 +55,7 @@ from .minilang.ast import (
     While,
 )
 from .minilang.typecheck import BUILTINS
-from .representation import (
-    RegionTooLong,
-    RepresentationConfig,
-    Vocabulary,
-    build_input,
-    encode_target,
-)
+from .representation import RepresentationConfig, Vocabulary
 from .util import derive_rng
 
 
@@ -117,8 +113,6 @@ def _whole_stmt_edit(ctx: RuleContext, new_stmt) -> tuple[Span, list[str]]:
 
 
 def _calls_in_statement(stmt) -> list[Call]:
-    from .minilang.ast import walk_expressions
-
     return [e for e in walk_expressions(stmt) if isinstance(e, Call)]
 
 
@@ -150,12 +144,6 @@ def _replace_expr(node, target, replacement):
     return node
 
 
-def _statement_expressions(stmt) -> list:
-    from .minilang.ast import walk_expressions
-
-    return walk_expressions(stmt)
-
-
 # --- the eight rules -------------------------------------------------------
 
 
@@ -185,7 +173,7 @@ def _replace_binary_operator(ctx: RuleContext, rng: np.random.Generator):
     arith, comparison = _OPERATOR_CLASSES
     nodes = [
         e
-        for e in _statement_expressions(ctx.stmt)
+        for e in walk_expressions(ctx.stmt)
         if isinstance(e, Binary) and (e.op in arith or e.op in comparison)
     ]
     if not nodes:
@@ -196,7 +184,7 @@ def _replace_binary_operator(ctx: RuleContext, rng: np.random.Generator):
     new_op = alternatives[int(rng.integers(len(alternatives)))]
     new_stmt = _replace_expr(ctx.stmt, node, dataclasses.replace(node, op=new_op))
     if isinstance(ctx.stmt, (If, While)) and ctx.span.end_line > ctx.span.start_line:
-        cond_nodes = _statement_expressions(ctx.stmt)
+        cond_nodes = walk_expressions(ctx.stmt)
         if node not in cond_nodes:
             return None
         return _header_line_edit(ctx, new_stmt)
@@ -229,7 +217,7 @@ def _replace_variable(ctx: RuleContext, rng: np.random.Generator):
     names = _in_scope_names(ctx)
     if len(names) < 2:
         return None
-    variables = [e for e in _statement_expressions(ctx.stmt) if isinstance(e, Var)]
+    variables = [e for e in walk_expressions(ctx.stmt) if isinstance(e, Var)]
     rng.shuffle(variables)
     for var in variables:
         others = [n for n in names if n != var.name]
@@ -244,7 +232,7 @@ def _replace_variable(ctx: RuleContext, rng: np.random.Generator):
 
 
 def _perturb_integer_literal(ctx: RuleContext, rng: np.random.Generator):
-    literals = [e for e in _statement_expressions(ctx.stmt) if isinstance(e, IntLit)]
+    literals = [e for e in walk_expressions(ctx.stmt) if isinstance(e, IntLit)]
     if not literals:
         return None
     node = literals[int(rng.integers(len(literals)))]
@@ -381,38 +369,19 @@ def samples_for_bug(
     base: SourceProgram,
     rep_cfg: RepresentationConfig,
     vocab: Vocabulary,
-    origin: str = ORIGIN_MECHANICAL,
-    iteration: int = 0,
 ) -> Optional[tuple[TrainingSample, TrainingSample]]:
     """(fix, break) sample pair for one bug, or None when either side
     does not fit the representation budgets."""
-    fix_target = encode_target("\n".join(bug.base_region_lines), rep_cfg, vocab)
-    break_target = encode_target("\n".join(bug.mutant_region_lines), rep_cfg, vocab)
-    if fix_target is None or break_target is None:
-        return None
-    try:
-        fix_input = build_input(bug.mutant, bug.mutant_region, rep_cfg, vocab)
-        break_input = build_input(base, bug.base_region, rep_cfg, vocab)
-    except RegionTooLong:
-        return None
-    fix_sample = TrainingSample(
-        direction=DIRECTION_FIX,
-        input_tokens=tuple(fix_input),
-        target_tokens=tuple(fix_target),
-        origin=origin,
-        iteration=iteration,
-        source_program=bug.base_name,
-        span=bug.mutant_region,
+    fix_sample = sample_from_edit(
+        DIRECTION_FIX, bug.mutant, bug.mutant_region, bug.base_region_lines,
+        bug.base_name, ORIGIN_MECHANICAL, 0, rep_cfg, vocab,
     )
-    break_sample = TrainingSample(
-        direction=DIRECTION_BREAK,
-        input_tokens=tuple(break_input),
-        target_tokens=tuple(break_target),
-        origin=origin,
-        iteration=iteration,
-        source_program=bug.base_name,
-        span=bug.base_region,
+    break_sample = sample_from_edit(
+        DIRECTION_BREAK, base, bug.base_region, bug.mutant_region_lines,
+        bug.base_name, ORIGIN_MECHANICAL, 0, rep_cfg, vocab,
     )
+    if fix_sample is None or break_sample is None:
+        return None
     return fix_sample, break_sample
 
 

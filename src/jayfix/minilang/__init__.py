@@ -1,5 +1,6 @@
 """The Jay mini-language: parsing, type checking, interpretation,
-pretty-printing, statement locations, and normalized AST equality.
+pretty-printing, statement locations, splicing and fault-region
+derivation, and normalized AST equality.
 
 All operations are pure functions of their inputs and safe to call
 concurrently.
@@ -36,6 +37,7 @@ from .interp import (
 )
 from .locations import (
     SpliceResult,
+    derive_fault_region,
     enumerate_statement_locations,
     line_indent,
     region_text,
@@ -89,6 +91,7 @@ __all__ = [
     "analyze",
     "ast_equal_normalized",
     "compiles",
+    "derive_fault_region",
     "enumerate_statement_locations",
     "format_expression",
     "format_statement",

@@ -1,4 +1,5 @@
-"""Statement-location enumeration and line-span splicing.
+"""Statement-location enumeration, line-span splicing, and its inverse:
+the fault region that separates a buggy program from its fix.
 
 Spans are inclusive 1-based line ranges. Splicing replaces a span's
 lines with replacement lines; an empty replacement extends the edited
@@ -74,6 +75,41 @@ def splice_region(text: str, span: Span, replacement_lines: list[str]) -> Splice
         mutant_region=mutant_region,
         mutant_region_lines=tuple(replacement),
     )
+
+
+def derive_fault_region(buggy_text: str, fixed_text: str) -> tuple[Span, list[str]]:
+    """Contiguous differing line block between a buggy program and its
+    fix: the span to replace in the buggy text plus the replacement
+    lines. Pure insertions/deletions absorb an unchanged neighbor line
+    so the span and the replacement are both non-empty."""
+    if buggy_text == fixed_text:
+        raise ValueError("programs are identical; no fault region")
+    buggy = buggy_text.split("\n")
+    fixed = fixed_text.split("\n")
+    top = 0
+    while top < len(buggy) and top < len(fixed) and buggy[top] == fixed[top]:
+        top += 1
+    bottom = 0
+    while (
+        bottom < len(buggy) - top
+        and bottom < len(fixed) - top
+        and buggy[len(buggy) - 1 - bottom] == fixed[len(fixed) - 1 - bottom]
+    ):
+        bottom += 1
+    buggy_block = buggy[top : len(buggy) - bottom]
+    replacement = fixed[top : len(fixed) - bottom]
+    if buggy_block and replacement:
+        return Span(top + 1, len(buggy) - bottom), replacement
+    if not buggy_block:
+        # insertion: anchor the span on the unchanged neighbor line
+        if top < len(buggy):
+            return Span(top + 1, top + 1), replacement + [buggy[top]]
+        return Span(top, top), [buggy[top - 1]] + replacement
+    # deletion: absorb the following line, or the preceding one at EOF
+    end = len(buggy) - bottom
+    if end < len(buggy):
+        return Span(top + 1, end + 1), [buggy[end]]
+    return Span(top, end), [buggy[top - 1]]
 
 
 def region_text(text: str, span: Span) -> str:

@@ -355,10 +355,6 @@ class BeamScorer:
     def vocab_size(self) -> int:
         return self.model.config.vocab_size
 
-    @property
-    def max_steps(self) -> int:
-        return self.model.config.max_tgt_len
-
     def step_logprobs(self, prefixes: list[list[int]]) -> np.ndarray:
         """(len(prefixes), V) log-probabilities for the next token."""
         if not prefixes:

@@ -31,20 +31,18 @@ N_BYTES = 256
 
 MAX_SPACE_RUN = 16
 
-_FIXED_LEXEMES = [
-    "\n",
-    *(" " * n for n in range(1, MAX_SPACE_RUN + 1)),
-    *(str(d) for d in range(10)),
-    "fn", "let", "if", "else", "while", "return", "true", "false", "int", "bool",
+_OPERATORS = [
     "->", "==", "!=", "<=", ">=", "&&", "||",
     "+", "-", "*", "/", "%", "<", ">", "=", "!",
     "(", ")", "{", "}", "[", "]", ",", ";", ":",
 ]
 
-_OPERATORS = [
-    "->", "==", "!=", "<=", ">=", "&&", "||",
-    "+", "-", "*", "/", "%", "<", ">", "=", "!",
-    "(", ")", "{", "}", "[", "]", ",", ";", ":",
+_FIXED_LEXEMES = [
+    "\n",
+    *(" " * n for n in range(1, MAX_SPACE_RUN + 1)),
+    *(str(d) for d in range(10)),
+    "fn", "let", "if", "else", "while", "return", "true", "false", "int", "bool",
+    *_OPERATORS,
 ]
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

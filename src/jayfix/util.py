@@ -1,11 +1,12 @@
-"""Small shared helpers: canonical JSON, stable hashing, seeded RNG
-derivation, and an order-preserving parallel map."""
+"""Small shared helpers: canonical JSON, JSON artifact files, stable
+hashing, seeded RNG derivation, and an order-preserving parallel map."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
@@ -17,6 +18,11 @@ R = TypeVar("R")
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, no whitespace drift."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Write a JSON artifact: two-space indent, sorted keys, final newline."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def content_hash(obj) -> str:

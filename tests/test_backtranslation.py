@@ -16,9 +16,9 @@ from jayfix.backtranslate import (
 )
 from jayfix.corpus import SampleStore, load_corpus
 from jayfix.critics import FAMILY_NONE, POLARITY_BUGGY, POLARITY_CORRECT, CriticKind
-from jayfix.minilang import DEFAULT_FUEL, enumerate_statement_locations, region_text, splice_region
+from jayfix.minilang import DEFAULT_FUEL, enumerate_statement_locations, region_text, splice, splice_region
 from jayfix.model import ModelConfig, Seq2SeqModel, TrainConfig, load_checkpoint
-from jayfix.representation import RepresentationConfig, Vocabulary
+from jayfix.representation import RepresentationConfig, Vocabulary, build_input
 
 
 @pytest.fixture(scope="module")
@@ -357,3 +357,50 @@ def test_single_kept_candidate_skips_the_finetune(world, tmp_path, monkeypatch):
     assert len(new_seeds) == 1
     assert (log.fixer_finetuned, log.fixer_val_loss) == (False, None)
     assert (log.breaker_finetuned, log.breaker_val_loss) == (False, None)
+
+
+def test_every_backtranslated_sample_inverts_its_edit(world, tmp_path, monkeypatch):
+    # kept fixes become break samples and kept bugs fix samples; either
+    # way, splicing the sample's target at its span into the candidate
+    # gives back the program the proposal was spliced into
+    entries, vocab, _ = world
+    rep_cfg = RepresentationConfig(context_lines=2, max_input_len=512, max_target_len=128)
+    subset = small_world(entries, n_correct=2, n_buggy=2)
+    _stub_beam(monkeypatch, lambda region: [region + " +", region.replace("+", "-"), region + "\n" + region])
+    generated, batches = [], []
+    log_batch = backtranslate._log_batch
+
+    def generate(model, program, *args):
+        generated.append((program, generate_candidates(model, program, *args)))
+        return generated[-1][1]
+
+    def logged(log, phase, base_name, generation, *args):
+        samples = log_batch(log, phase, base_name, generation, *args)
+        program = next(p for p, g in generated if g is generation)
+        batches.append((program, generation, samples))
+        return samples
+
+    monkeypatch.setattr(backtranslate, "generate_candidates", generate)
+    monkeypatch.setattr(backtranslate, "_log_batch", logged)
+    monkeypatch.setattr(backtranslate, "_finetune", lambda *args: 0.0)  # bookkeeping only
+    cfg = LoopConfig(
+        iterations=1, k_correct=3, k_buggy=3, critic_family=FAMILY_NONE, max_locations_per_program=3, seed=38
+    )
+    log, _ = bt_iteration(
+        make_model(vocab, rep_cfg, seed=39), make_model(vocab, rep_cfg, seed=40), subset,
+        initial_bug_seeds(subset), SampleStore(tmp_path / "store.jsonl"), cfg, rep_cfg, TRAIN_CFG, vocab,
+        iteration=1,
+    )
+    assert log.rejected_length == 0
+    directions = set()
+    for program, generation, samples in batches:
+        assert len(samples) == len(generation.kept)
+        for (candidate, _verdict), sample in zip(generation.kept, samples):
+            assert sample.input_tokens == tuple(build_input(candidate.program, sample.span, rep_cfg, vocab))
+            target = vocab.decode(list(sample.target_tokens)).split("\n")
+            assert splice(candidate.program.text, sample.span, target) == program.text
+            directions.add(sample.direction)
+    assert directions == {"fix", "break"}
+    # the two-line proposals resize the region, so a sample that records
+    # the base span instead of the candidate's cannot pass
+    assert any(c.splice.base_region != c.splice.mutant_region for _, g, _ in batches for c, _ in g.kept)

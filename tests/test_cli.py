@@ -181,6 +181,20 @@ def test_missing_corpus_is_data_error(tmp_path):
     assert main(["gen-mechanical", "--config", str(config_path)]) == EXIT_DATA
 
 
+@pytest.mark.parametrize(
+    "extra", [{"iteration": 3}, {"loop": {**MICRO_CONFIG["loop"], "iteration": 3}}]
+)
+def test_unknown_config_key_is_usage_error(tmp_path, request, capsys, extra):
+    config = {**MICRO_CONFIG, **extra}
+    config["corpus_dir"] = str(request.config.rootpath / "corpus")
+    config["work_dir"] = str(tmp_path / "work")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["gen-mechanical", "--config", str(config_path)]) == EXIT_USAGE
+    assert "iteration" in capsys.readouterr().err
+    assert not (tmp_path / "work").exists()
+
+
 def test_missing_subcommand_is_usage_error():
     assert main([]) == EXIT_USAGE
 

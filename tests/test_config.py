@@ -52,6 +52,28 @@ def test_bad_config_section_rejected(tmp_path):
         RunConfig.from_file(path)
 
 
+@pytest.mark.parametrize(
+    "raw, key",
+    [
+        ({"iteration": 3}, "iteration"),
+        ({"loop": {"iteration": 3}}, "iteration"),
+        ({"model": {"d_modl": 8}}, "d_modl"),
+        ({"train": {"epochs": 1}}, "epochs"),
+        ({"representation": {"context": 2}}, "context"),
+    ],
+)
+def test_unknown_config_key_rejected(raw, key):
+    with pytest.raises(ValueError, match=key):
+        RunConfig.from_json(raw)
+
+
+def test_resolved_config_reads_back():
+    # every key the echo writes, apart from the vocabulary-sized model, is known
+    cfg = RunConfig.from_json({"seed": 4, "loop": {"k_buggy": 2}, "train": {"max_epochs": 3}})
+    echoed = cfg.resolved_json()
+    assert RunConfig.from_json(echoed).resolved_json() == echoed
+
+
 def test_representation_validation():
     with pytest.raises(ValueError):
         RepresentationConfig(context_lines=-1)

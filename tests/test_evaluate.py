@@ -6,12 +6,11 @@ from jayfix.evaluate import (
     CandidatePatch,
     PatchAssessment,
     assess,
-    derive_fault_region,
     evaluate,
     tasks_from_corpus,
     tasks_from_mechanical_bugs,
 )
-from jayfix.minilang import SourceProgram, Span, splice
+from jayfix.minilang import SourceProgram, Span, derive_fault_region, splice
 from jayfix.model import ModelConfig, Seq2SeqModel
 
 

@@ -16,6 +16,7 @@ from jayfix.minilang import (
     typecheck,
 )
 from jayfix.minilang import SourceProgram
+from jayfix.representation import build_input
 
 THREE_ARG_CALL = """\
 fn pack(a: int, b: int, c: int) -> int {
@@ -171,3 +172,24 @@ def test_fix_sample_encodes_buggy_input_and_correct_target(correct, rep_cfg, voc
     # fix: input contains the corrupted region, target is the original text
     assert vocab.decode(list(fix.target_tokens)) == "\n".join(bug.base_region_lines)
     assert vocab.decode(list(brk.target_tokens)) == "\n".join(bug.mutant_region_lines)
+
+
+def _assert_inverts(sample, built_from, other_side, rep_cfg, vocab):
+    """The sample's input marks its span of the program it was built from,
+    and splicing its decoded target there gives the other side's text."""
+    assert sample.input_tokens == tuple(build_input(built_from, sample.span, rep_cfg, vocab))
+    target = vocab.decode(list(sample.target_tokens)).split("\n")
+    assert splice(built_from.text, sample.span, target) == other_side.text
+
+
+def test_every_sample_inverts_its_edit(correct, rep_cfg, vocab):
+    samples, bugs, _ = generate_mechanical_dataset(correct, DEFAULT_RULES, rep_cfg, vocab, per_location_cap=0, seed=0)
+    assert bugs and len(samples) == 2 * len(bugs)
+    base = {e.name: e.program for e in correct}
+    for bug, fix, brk in zip(bugs, samples[::2], samples[1::2]):
+        assert (fix.direction, brk.direction) == (DIRECTION_FIX, DIRECTION_BREAK)
+        _assert_inverts(fix, bug.mutant, base[bug.base_name], rep_cfg, vocab)
+        _assert_inverts(brk, base[bug.base_name], bug.mutant, rep_cfg, vocab)
+    # deleting and duplicating statements resize the region, so a sample
+    # that records the other side's span cannot pass
+    assert any(bug.base_region != bug.mutant_region for bug in bugs)

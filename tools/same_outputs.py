@@ -1,0 +1,165 @@
+#!/usr/bin/env python3
+"""Show that two jayfix source trees write byte-identical outputs.
+
+    python3 tools/same_outputs.py PARENT_TREE CHANGE_TREE [--config NAME] [--work DIR]
+
+Each tree is a checkout with `src/` and `corpus/`. Export the parent
+commit with `git archive`, not `git worktree`, so that it shares no
+files with the change:
+
+    mkdir /tmp/parent && git archive HEAD~1 | tar -x -C /tmp/parent
+
+Both trees run the same commands, one tree after the other, into one
+absolute output directory `WORK/run`, which is renamed to `WORK/parent`
+and then `WORK/change` after each side. Every path the commands see and
+echo is therefore the same on both sides. For each config the matrix is:
+
+- `gen-mechanical`, then `init-train`;
+- for each critic `none|compiler|tests` and each `loop.order`
+  `fixer-first|breaker-first`, on a fresh copy of that work directory:
+  `backtranslate`, then `evaluate --model runs/*/iter1/fixer.ckpt`;
+- `gen-bugs --critic C` for each critic, at the config's K_buggy and
+  with `--beam 3`;
+- `repair corpus/gcd_buggy.jay --span 4:4 --beam 10 --reference corpus/gcd.jay`.
+
+The stdout of every command is kept under `stdout/`, and each `log.json`
+is written again without its `wall_clock_sec`, the one field that reads
+a clock. Then `diff -r WORK/parent WORK/change` runs; the script exits 0
+when it prints nothing.
+
+Configs: `criterion8` is the end-to-end determinism config of
+`tests/test_acceptance.py` (tiny preset at d_model 16, one epoch), under
+which the compiler and tests critics keep nothing; `tiny15` is the same
+with the plain tiny preset and 15 epochs at learning rate 3e-3, which
+gives those critics something to keep.
+"""
+
+from __future__ import annotations
+
+import argparse
+import glob
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+CRITERION8 = {
+    "seed": 5,
+    "jobs": 1,
+    "eval_k": 2,
+    "per_location_cap": 1,
+    "model_preset": "tiny",
+    "model": {"d_model": 16, "d_ff": 32, "n_heads": 2},
+    "train": {"batch_size": 16, "learning_rate": 0.001, "weight_decay": 0.01,
+              "max_epochs": 1, "patience": 1},
+    "loop": {"iterations": 1, "k_correct": 2, "k_buggy": 1,
+             "critic_family": "compiler", "max_locations_per_program": 2},
+    "representation": {"context_lines": 2, "max_input_len": 128, "max_target_len": 32},
+}
+
+CONFIGS = {
+    "criterion8": CRITERION8,
+    "tiny15": {
+        **CRITERION8,
+        "model": {},
+        "train": {**CRITERION8["train"], "learning_rate": 0.003, "max_epochs": 15},
+    },
+}
+
+CRITICS = ("none", "compiler", "tests")
+ORDERS = ("fixer-first", "breaker-first")
+
+
+def write_config(path: Path, config: dict) -> str:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(config, indent=2, sort_keys=True), encoding="utf-8")
+    return str(path)
+
+
+class Side:
+    """One tree's run of the matrix into the shared output directory."""
+
+    def __init__(self, tree: Path, out: Path):
+        self.tree = tree
+        self.out = out
+        self.env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+
+    def jayfix(self, label: str, *args: str) -> None:
+        proc = subprocess.run(
+            [sys.executable, "-m", "jayfix", *args],
+            cwd=self.out, env=self.env, capture_output=True, text=True,
+        )
+        (self.out / "stdout").mkdir(exist_ok=True)
+        (self.out / "stdout" / f"{label}.txt").write_text(proc.stdout, encoding="utf-8")
+        if proc.returncode != 0:
+            raise SystemExit(f"{self.tree}: jayfix {' '.join(args)} exited {proc.returncode}\n{proc.stderr}")
+
+    def run(self, name: str, config: dict) -> None:
+        base = self.out / name
+        config = {**config, "corpus_dir": str(self.out / "corpus"), "work_dir": str(base / "work")}
+        base_config = write_config(base / "config.json", config)
+        self.jayfix(f"{name}-gen-mechanical", "gen-mechanical", "--config", base_config)
+        self.jayfix(f"{name}-init-train", "init-train", "--config", base_config)
+        for critic in CRITICS:
+            for order in ORDERS:
+                tag = f"{name}-bt-{critic}-{order}"
+                run = base / f"bt-{critic}-{order}"
+                shutil.copytree(base / "work", run / "work")
+                run_config = write_config(run / "config.json", {
+                    **config, "work_dir": str(run / "work"), "loop": {**config["loop"], "order": order},
+                })
+                self.jayfix(tag, "backtranslate", "--config", run_config, "--critic", critic)
+                (fixer,) = glob.glob(str(run / "work" / "runs" / "*" / "iter1" / "fixer.ckpt"))
+                self.jayfix(f"{tag}-evaluate", "evaluate", "--config", run_config,
+                            "--model", fixer, "--out", str(run / "eval"))
+        for critic in CRITICS:
+            self.jayfix(f"{name}-gen-bugs-{critic}", "gen-bugs", "--config", base_config,
+                        "--critic", critic, "--out", str(base / f"bugs-{critic}"))
+            self.jayfix(f"{name}-gen-bugs-{critic}-beam3", "gen-bugs", "--config", base_config,
+                        "--critic", critic, "--beam", "3", "--out", str(base / f"bugs-{critic}-beam3"))
+        self.jayfix(f"{name}-repair", "repair", "--config", base_config, "corpus/gcd_buggy.jay",
+                    "--span", "4:4", "--beam", "10", "--reference", "corpus/gcd.jay",
+                    "--out", str(base / "repair"))
+
+
+def strip_wall_clock(out: Path) -> None:
+    for path in out.rglob("log.json"):
+        log = json.loads(path.read_text(encoding="utf-8"))
+        log.pop("wall_clock_sec", None)
+        path.write_text(json.dumps(log, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="parent source tree (from git archive)")
+    parser.add_argument("change", type=Path, help="changed source tree")
+    parser.add_argument("--config", choices=sorted(CONFIGS), action="append",
+                        help="config to run (repeatable; default: all)")
+    parser.add_argument("--work", type=Path, help="empty directory for the outputs (default: a new temp dir)")
+    args = parser.parse_args(argv)
+    work = (args.work or Path(tempfile.mkdtemp(prefix="same-outputs-"))).resolve()
+    work.mkdir(parents=True, exist_ok=True)
+    if any(work.iterdir()):
+        parser.error(f"{work} is not empty")
+    out = work / "run"
+    for side, tree in (("parent", args.parent), ("change", args.change)):
+        tree = tree.resolve()
+        out.mkdir()
+        shutil.copytree(tree / "corpus", out / "corpus")
+        runner = Side(tree, out)
+        for name in args.config or sorted(CONFIGS):
+            runner.run(name, CONFIGS[name])
+        strip_wall_clock(out)
+        out.rename(work / side)
+    files = sum(1 for p in (work / "change").rglob("*") if p.is_file())
+    code = subprocess.run(["diff", "-r", str(work / "parent"), str(work / "change")]).returncode
+    verdict = "identical" if code == 0 else "DIFFERENT"
+    print(f"{verdict}: {files} files under {work / 'change'} against {work / 'parent'}")
+    return code
+
+
+if __name__ == "__main__":
+    sys.exit(main())
