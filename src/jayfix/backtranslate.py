@@ -2,14 +2,16 @@
 accumulate -> fine-tune rounds that improve the breaker and fixer.
 
 One iteration runs two half-rounds. The fixer half: the fixer proposes
-K_correct patches per buggy seed (the seed buggy corpus plus bugs
-accepted in earlier rounds), proposals identical to their input are
-discarded, the correct-code critic filters the rest, survivors become
-break-direction samples (fixed code in, buggy code out) in the store,
-and the breaker is fine-tuned on every break sample in the store. The
-breaker half mirrors it: K_buggy corruptions per statement location of
-each correct seed, the buggy-code critic, fix-direction samples, and a
-fixer fine-tune. Accepted corruptions join the buggy seed pool.
+K_correct patches per repair task (`evaluate.RepairTask`: the buggy
+corpus plus bugs accepted in earlier rounds), proposals identical to
+their input are discarded, the correct-code critic filters the rest with
+the task's suite, survivors become break-direction samples (fixed code
+in, buggy code out) in the store, and the breaker is fine-tuned on every
+break sample in the store. The breaker half mirrors it: K_buggy
+corruptions per statement location of each correct seed, the buggy-code
+critic, fix-direction samples, and a fixer fine-tune. Each accepted
+corruption becomes a repair task with its base program's suite, and that
+program as the reference fix.
 
 The default order runs the fixer half first; `order="breaker-first"`
 swaps the halves, in which case bugs accepted by the breaker half feed
@@ -37,7 +39,6 @@ from .corpus import (
     ORIGIN_BACKTRANSLATION,
     SampleStore,
     TrainingSample,
-    buggy_entries,
     correct_entries,
     sample_from_edit,
     split_holdout,
@@ -50,18 +51,18 @@ from .critics import (
     POLARITY_CORRECT,
     filter_candidates,
 )
+from .evaluate import RepairTask, propose_regions, tasks_from_corpus
 from .minilang import (
     DEFAULT_FUEL,
     SourceProgram,
     Span,
     SpliceResult,
     TestSuite,
-    derive_fault_region,
     enumerate_statement_locations,
     splice_region,
 )
-from .model import BeamScorer, Seq2SeqModel, TrainConfig, beam_search, save_checkpoint, train
-from .representation import RegionTooLong, RepresentationConfig, Vocabulary, build_input
+from .model import Seq2SeqModel, TrainConfig, save_checkpoint, train
+from .representation import RegionTooLong, RepresentationConfig, Vocabulary
 from .util import content_hash, derive_rng, derive_seed, write_json
 
 HOLDOUT_FRACTION = 0.02
@@ -88,15 +89,6 @@ class LoopConfig:
             raise ValueError("iterations, k_correct and k_buggy must be >= 1")
         if self.order not in (ORDER_FIXER_FIRST, ORDER_BREAKER_FIRST):
             raise ValueError(f"unknown order {self.order!r}")
-
-
-@dataclass(frozen=True)
-class BugSeed:
-    """A buggy program awaiting repair proposals: the fixer's input."""
-
-    program: SourceProgram
-    region: Span
-    base_name: str  # owning corpus program; supplies the critic suite
 
 
 @dataclass
@@ -132,21 +124,6 @@ class IterationLog:
     store_total_after: int = 0
     wall_clock_sec: float = 0.0
     batches: list[BatchLog] = field(default_factory=list)
-
-
-def propose_regions(
-    model: Seq2SeqModel,
-    program: SourceProgram,
-    region: Span,
-    k: int,
-    rep_cfg: RepresentationConfig,
-    vocab: Vocabulary,
-) -> list[tuple[str, float]]:
-    """Beam-decode k replacement texts for one marked region."""
-    input_tokens = build_input(program, region, rep_cfg, vocab)
-    scorer = BeamScorer(model, input_tokens)
-    candidates = beam_search(scorer, k=k, max_len=model.config.max_tgt_len)
-    return [(vocab.decode(list(c.content_tokens)), c.log_prob) for c in candidates]
 
 
 @dataclass(frozen=True)
@@ -203,18 +180,6 @@ def generate_candidates(
             candidates.append(Candidate(SourceProgram(name, result.mutant_text), span, result))
     kept, counts = filter_candidates(critic, [(c.program, c) for c in candidates], suite, fuel, jobs=jobs)
     return Generation(candidates, [(c, verdict) for _, c, verdict in kept], counts, skipped)
-
-
-def initial_bug_seeds(entries: list[CorpusEntry]) -> list[BugSeed]:
-    """Seed the fixer side with the buggy corpus; the fault region is
-    recovered by diffing each entry against its reference fix."""
-    seeds = []
-    for entry in buggy_entries(entries):
-        if entry.reference_fix is None:
-            continue
-        span, _ = derive_fault_region(entry.program.text, entry.reference_fix.text)
-        seeds.append(BugSeed(program=entry.program, region=span, base_name=entry.name))
-    return seeds
 
 
 def _finetune(
@@ -277,8 +242,7 @@ def _log_batch(
 def _fixer_half(
     fixer: Seq2SeqModel,
     breaker: Seq2SeqModel,
-    bug_seeds: list[BugSeed],
-    suites: dict,
+    tasks: list[RepairTask],
     store: SampleStore,
     cfg: LoopConfig,
     rep_cfg: RepresentationConfig,
@@ -290,15 +254,15 @@ def _fixer_half(
     """Fixer proposes repairs; survivors train the breaker."""
     critic = CriticKind(cfg.critic_family, POLARITY_CORRECT)
     batch: list[TrainingSample] = []
-    for seed in bug_seeds:
+    for task in tasks:
         generation = generate_candidates(
-            fixer, seed.program, seed.base_name, [seed.region], cfg.k_correct, critic,
-            suites[seed.base_name], cfg.fuel, rep_cfg, vocab, cfg.jobs,
+            fixer, task.buggy, task.name, [task.fault_span], cfg.k_correct, critic,
+            task.suite, cfg.fuel, rep_cfg, vocab, cfg.jobs,
         )
-        if generation.skipped:  # the seed's one region is too long; no batch to log
+        if generation.skipped:  # the task's one region is too long; no batch to log
             log.rejected_length += generation.skipped
             continue
-        batch += _log_batch(log, "fix_candidates", seed.base_name, generation, iteration, rep_cfg, vocab)
+        batch += _log_batch(log, "fix_candidates", task.name, generation, iteration, rep_cfg, vocab)
     log.break_samples_appended = store.append(batch)
     if log.fix_kept > 0:
         log.breaker_val_loss = _finetune(breaker, DIRECTION_BREAK, store, cfg, train_cfg, iteration)
@@ -316,12 +280,12 @@ def _breaker_half(
     vocab: Vocabulary,
     iteration: int,
     log: IterationLog,
-) -> list[BugSeed]:
+) -> list[RepairTask]:
     """Breaker corrupts correct seeds; survivors train the fixer and
-    become new buggy seeds."""
+    become new repair tasks."""
     critic = CriticKind(cfg.critic_family, POLARITY_BUGGY)
     batch: list[TrainingSample] = []
-    new_seeds: list[BugSeed] = []
+    new_tasks: list[RepairTask] = []
     for entry in sorted(correct_entries(entries), key=lambda e: e.name):
         locations = enumerate_statement_locations(entry.ast)
         if cfg.max_locations_per_program and len(locations) > cfg.max_locations_per_program:
@@ -340,47 +304,50 @@ def _breaker_half(
             key = (candidate.program.text, candidate.splice.mutant_region)
             if key not in seen:
                 seen.add(key)
-                new_seeds.append(
-                    BugSeed(
-                        program=SourceProgram(f"{entry.name}@bt{iteration}", candidate.program.text),
-                        region=candidate.splice.mutant_region,
-                        base_name=entry.name,
+                new_tasks.append(
+                    RepairTask(
+                        name=entry.name,
+                        buggy=SourceProgram(f"{entry.name}@bt{iteration}", candidate.program.text),
+                        fault_span=candidate.splice.mutant_region,
+                        suite=entry.suite,
+                        reference=entry.program,
+                        reference_ast=entry.ast,
                     )
                 )
     log.fix_samples_appended = store.append(batch)
     if log.bug_kept > 0:
         log.fixer_val_loss = _finetune(fixer, DIRECTION_FIX, store, cfg, train_cfg, iteration)
         log.fixer_finetuned = log.fixer_val_loss is not None
-    return new_seeds
+    return new_tasks
 
 
 def bt_iteration(
     fixer: Seq2SeqModel,
     breaker: Seq2SeqModel,
     entries: list[CorpusEntry],
-    bug_seeds: list[BugSeed],
+    tasks: list[RepairTask],
     store: SampleStore,
     cfg: LoopConfig,
     rep_cfg: RepresentationConfig,
     train_cfg: TrainConfig,
     vocab: Vocabulary,
     iteration: int,
-) -> tuple[IterationLog, list[BugSeed]]:
+) -> tuple[IterationLog, list[RepairTask]]:
     """One full back-translation round. Models are fine-tuned in place;
-    returns the log and the bug seeds accepted this round."""
+    returns the log and the repair tasks made from bugs accepted this
+    round."""
     started = time.time()
     log = IterationLog(iteration=iteration, critic_family=cfg.critic_family, order=cfg.order)
-    suites = {entry.name: entry.suite for entry in entries}
     if cfg.order == ORDER_FIXER_FIRST:
-        _fixer_half(fixer, breaker, bug_seeds, suites, store, cfg, rep_cfg, train_cfg, vocab, iteration, log)
-        new_seeds = _breaker_half(fixer, breaker, entries, store, cfg, rep_cfg, train_cfg, vocab, iteration, log)
+        _fixer_half(fixer, breaker, tasks, store, cfg, rep_cfg, train_cfg, vocab, iteration, log)
+        new_tasks = _breaker_half(fixer, breaker, entries, store, cfg, rep_cfg, train_cfg, vocab, iteration, log)
     else:
-        new_seeds = _breaker_half(fixer, breaker, entries, store, cfg, rep_cfg, train_cfg, vocab, iteration, log)
+        new_tasks = _breaker_half(fixer, breaker, entries, store, cfg, rep_cfg, train_cfg, vocab, iteration, log)
         # bugs accepted moments ago are legitimate repair prompts already
-        _fixer_half(fixer, breaker, bug_seeds + new_seeds, suites, store, cfg, rep_cfg, train_cfg, vocab, iteration, log)
+        _fixer_half(fixer, breaker, tasks + new_tasks, store, cfg, rep_cfg, train_cfg, vocab, iteration, log)
     log.store_total_after = len(store)
     log.wall_clock_sec = time.time() - started
-    return log, new_seeds
+    return log, new_tasks
 
 
 def run_loop(
@@ -397,13 +364,13 @@ def run_loop(
     """N alternating iterations; per-iteration checkpoints and logs are
     persisted under run_dir/iter<k>/ when a run directory is given."""
     logs: list[IterationLog] = []
-    bug_seeds = initial_bug_seeds(entries)
+    tasks = tasks_from_corpus(entries)
     for iteration in range(1, cfg.iterations + 1):
         before = len(store)
         iter_train_cfg = replace(train_cfg, seed=derive_seed("bt-train", train_cfg.seed, iteration))
         try:
-            log, new_seeds = bt_iteration(
-                fixer, breaker, entries, bug_seeds, store, cfg, rep_cfg, train_cfg=iter_train_cfg,
+            log, new_tasks = bt_iteration(
+                fixer, breaker, entries, tasks, store, cfg, rep_cfg, train_cfg=iter_train_cfg,
                 vocab=vocab, iteration=iteration,
             )
         except Exception as err:
@@ -412,12 +379,12 @@ def run_loop(
             err.__notes__ = [*getattr(err, "__notes__", ()), f"in back-translation iteration {iteration}"]
             raise
         assert len(store) >= before, "store must never shrink"
-        known = {(s.base_name, s.program.text, s.region) for s in bug_seeds}
-        for seed in new_seeds:
-            key = (seed.base_name, seed.program.text, seed.region)
+        known = {(t.name, t.buggy.text, t.fault_span) for t in tasks}
+        for task in new_tasks:
+            key = (task.name, task.buggy.text, task.fault_span)
             if key not in known:
                 known.add(key)
-                bug_seeds.append(seed)
+                tasks.append(task)
         logs.append(log)
         if run_dir is not None:
             iter_dir = Path(run_dir) / f"iter{iteration}"

@@ -15,7 +15,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from .backtranslate import generate_candidates, run_loop
-from .config import RunConfig
+from .config import DataError, RunConfig
 from .corpus import (
     CorpusError,
     DIRECTION_BREAK,
@@ -30,11 +30,9 @@ from .critics import CriticKind, FAMILIES, POLARITY_BUGGY
 from .evaluate import RepairTask, assess, evaluate, repair, tasks_from_corpus
 from .mechanical import DEFAULT_RULES, generate_mechanical_dataset
 from .minilang import (
-    Ast,
     MiniLangError,
     SourceProgram,
     Span,
-    TestSuite,
     analyze,
     enumerate_statement_locations,
 )
@@ -52,10 +50,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_DIVERGED = 3
-
-
-class DataError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,10 +120,12 @@ def _work_paths(cfg: RunConfig) -> dict[str, Path]:
     }
 
 
-def _load_vocab(paths) -> Vocabulary:
+def _load_vocab(cfg: RunConfig, paths) -> Vocabulary:
     if not paths["vocab"].exists():
         raise DataError(f"missing vocabulary {paths['vocab']}; run gen-mechanical first")
-    return Vocabulary.load(paths["vocab"])
+    vocab = Vocabulary.load(paths["vocab"])
+    cfg.model_config(vocab.size)  # a config for another vocabulary fails before any output
+    return vocab
 
 
 def _load_model(path: Path, vocab: Vocabulary) -> Seq2SeqModel:
@@ -160,9 +156,10 @@ def cmd_gen_mechanical(args) -> int:
     ]
     if not rules:
         raise DataError("no matching corruption rules")
+    vocab = Vocabulary.from_corpus([e.program.text for e in entries])
+    cfg.model_config(vocab.size)  # a config for another vocabulary fails before any output
     paths = _work_paths(cfg)
     paths["work"].mkdir(parents=True, exist_ok=True)
-    vocab = Vocabulary.from_corpus([e.program.text for e in entries])
     vocab.save(paths["vocab"])
     rep_cfg = cfg.representation_config()
     samples, bugs, report = generate_mechanical_dataset(
@@ -197,7 +194,7 @@ def cmd_init_train(args) -> int:
     if args.out:
         cfg.work_dir = args.out
     paths = _work_paths(cfg)
-    vocab = _load_vocab(paths)
+    vocab = _load_vocab(cfg, paths)
     if not paths["store"].exists():
         raise DataError(f"missing sample store {paths['store']}; run gen-mechanical first")
     store = SampleStore(paths["store"], vocab_sha=vocab.sha())
@@ -232,7 +229,7 @@ def cmd_backtranslate(args) -> int:
     if args.out:
         cfg.work_dir = args.out
     paths = _work_paths(cfg)
-    vocab = _load_vocab(paths)
+    vocab = _load_vocab(cfg, paths)
     entries = _load_entries(cfg)
     store = SampleStore(paths["store"], vocab_sha=vocab.sha())
     fixer = _load_model(paths["init"] / "fixer.ckpt", vocab)
@@ -268,7 +265,7 @@ def _parse_span(text: str) -> Span:
 def cmd_repair(args) -> int:
     cfg = _load_config(args)
     paths = _work_paths(cfg)
-    vocab = _load_vocab(paths)
+    vocab = _load_vocab(cfg, paths)
     model_path = Path(args.model) if args.model else paths["init"] / "fixer.ckpt"
     fixer = _load_model(model_path, vocab)
     program_path = Path(args.program)
@@ -279,24 +276,14 @@ def cmd_repair(args) -> int:
     if span.end_line > program.line_count:
         raise DataError(f"span {span} outside file of {program.line_count} lines")
     suite_path = program_path.with_suffix("").with_suffix(".tests.json")
-    suite = None
-    if suite_path.exists():
-        suite = load_suite(suite_path)
-    reference = None
-    reference_ast = None
+    suite = load_suite(suite_path) if suite_path.exists() else None
+    reference = reference_ast = None
     if args.reference:
         reference = SourceProgram("reference", Path(args.reference).read_text(encoding="utf-8"))
         reference_ast, diags = analyze(reference)
         if reference_ast is None or diags:
             raise DataError("reference program does not compile")
-    task = RepairTask(
-        name=program.name,
-        buggy=program,
-        suite=suite if suite is not None else TestSuite(()),
-        fault_span=span,
-        reference=reference if reference is not None else program,
-        reference_ast=reference_ast if reference_ast is not None else Ast(()),
-    )
+    task = RepairTask(program.name, program, span, suite=suite, reference=reference, reference_ast=reference_ast)
     try:
         candidates = repair(fixer, task, k=cfg.eval_k, rep_cfg=cfg.representation_config(), vocab=vocab)
     except RegionTooLong as err:
@@ -304,10 +291,10 @@ def cmd_repair(args) -> int:
     out_dir = Path(args.out) if args.out else Path("patches")
     out_dir.mkdir(parents=True, exist_ok=True)
     for candidate, assessment in zip(candidates, assess(candidates, task, fuel=cfg.fuel)):
-        # the empty stand-in suite passes vacuously, and the stand-in reference is no fix
-        plausible = assessment.plausible and suite is not None
-        correct = assessment.correct and plausible and reference_ast is not None
-        verdict = "correct" if correct else "plausible" if plausible else "compiles" if assessment.compiles else "broken"
+        verdict = (
+            "correct" if assessment.correct else "plausible" if assessment.plausible
+            else "compiles" if assessment.compiles else "broken"
+        )
         print(f"#{candidate.rank:>3} logp={candidate.log_prob:8.3f} [{verdict}] {candidate.region_text!r}")
         (out_dir / f"patch_{candidate.rank:03d}.jay").write_text(
             candidate.program.text, encoding="utf-8"
@@ -320,7 +307,7 @@ def cmd_repair(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args)
     paths = _work_paths(cfg)
-    vocab = _load_vocab(paths)
+    vocab = _load_vocab(cfg, paths)
     model_path = Path(args.model) if args.model else paths["init"] / "fixer.ckpt"
     fixer = _load_model(model_path, vocab)
     entries = _load_entries(cfg)
@@ -359,7 +346,7 @@ def cmd_evaluate(args) -> int:
 def cmd_gen_bugs(args) -> int:
     cfg = _load_config(args)
     paths = _work_paths(cfg)
-    vocab = _load_vocab(paths)
+    vocab = _load_vocab(cfg, paths)
     model_path = Path(args.model) if args.model else paths["init"] / "breaker.ckpt"
     breaker = _load_model(model_path, vocab)
     entries = _load_entries(cfg)

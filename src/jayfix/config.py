@@ -31,6 +31,10 @@ _SECTIONS = {
 }
 
 
+class DataError(Exception):
+    """Input that contradicts the data a run works on (exit code 2)."""
+
+
 def _reject_unknown_keys(raw: dict, cls, where: str) -> None:
     unknown = sorted(set(raw) - {f.name for f in fields(cls)})
     if unknown:
@@ -100,6 +104,10 @@ class RunConfig:
 
     def model_config(self, vocab_size: int) -> ModelConfig:
         overrides = dict(self.model)
+        # an echoed config names the size of the vocabulary it ran with
+        named = overrides.pop("vocab_size", vocab_size)
+        if named != vocab_size:
+            raise DataError(f"config model.vocab_size {named} does not match the vocabulary's size {vocab_size}")
         overrides.setdefault("seed", self.seed)
         rep = self.representation_config()
         overrides.setdefault("max_src_len", rep.max_input_len)
@@ -123,22 +131,15 @@ class RunConfig:
         return LoopConfig(**overrides)
 
     def resolved_json(self, vocab_size: Optional[int] = None) -> dict[str, Any]:
-        out = {
-            "seed": self.seed,
-            "corpus_dir": self.corpus_dir,
-            "work_dir": self.work_dir,
-            "jobs": self.jobs,
-            "eval_k": self.eval_k,
-            "fuel": self.fuel,
-            "per_location_cap": self.per_location_cap,
-            "model_preset": self.model_preset,
-            "train": asdict(self.train_config()),
-            "loop": asdict(self.loop_config()),
-            "representation": asdict(self.representation_config()),
-        }
+        """Every setting, each section resolved to its dataclass; the
+        model section only once the vocabulary's size is known."""
+        out = asdict(self)
+        out.update(
+            train=asdict(self.train_config()),
+            loop=asdict(self.loop_config()),
+            representation=asdict(self.representation_config()),
+        )
         if vocab_size is not None:
             out["model"] = asdict(self.model_config(vocab_size))
-        else:
-            out["model"] = dict(self.model)
         return out
 

@@ -1,5 +1,10 @@
 """Repair inference and the evaluation harness.
 
+A repair task is a buggy program, its fault span, and what judges a
+patch: a test suite and a reference fix, either of which may be absent.
+The buggy corpus, the bugs the back-translation loop accepts, and a
+`jayfix repair` request are all repair tasks.
+
 Tasks come with perfect fault localization: the true buggy span is
 given to the fixer, which beam-decodes K replacement regions; each is
 spliced into the program and assessed on three nested levels:
@@ -8,10 +13,12 @@ spliced into the program and assessed on three nested levels:
   plausible - compiles and passes the whole human-written suite,
   correct   - plausible and normalized-AST-equal to the reference fix.
 
-Normalized AST equality is a stricter stand-in for manual semantic
-judgment; plausible-but-not-equal candidates are surfaced separately
-for optional human review. Reports state their compilability
-denominator explicitly (all generated candidates over all tasks).
+A task without a suite has no plausible patch, and one without a
+reference no correct patch. Normalized AST equality is a stricter
+stand-in for manual semantic judgment; plausible-but-not-equal
+candidates are surfaced separately for optional human review. Reports
+state their compilability denominator explicitly (all generated
+candidates over all tasks).
 """
 
 from __future__ import annotations
@@ -21,9 +28,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .backtranslate import propose_regions
 from .corpus import CorpusEntry, buggy_entries
-from .mechanical import MechanicalBug
 from .minilang import (
     Ast,
     DEFAULT_FUEL,
@@ -36,19 +41,19 @@ from .minilang import (
     splice_region,
     TestSuite,
 )
-from .model import Seq2SeqModel
-from .representation import RegionTooLong, RepresentationConfig, Vocabulary
+from .model import BeamScorer, Seq2SeqModel, beam_search
+from .representation import RegionTooLong, RepresentationConfig, Vocabulary, build_input
 from .util import write_json
 
 
 @dataclass(frozen=True)
 class RepairTask:
-    name: str
+    name: str  # the corpus program the bug comes from, or the repaired file's stem
     buggy: SourceProgram
-    suite: TestSuite
     fault_span: Span
-    reference: SourceProgram
-    reference_ast: Ast = field(compare=False)
+    suite: Optional[TestSuite] = None
+    reference: Optional[SourceProgram] = None
+    reference_ast: Optional[Ast] = field(default=None, compare=False)
 
 
 def tasks_from_corpus(entries: Sequence[CorpusEntry]) -> list["RepairTask"]:
@@ -65,32 +70,10 @@ def tasks_from_corpus(entries: Sequence[CorpusEntry]) -> list["RepairTask"]:
             RepairTask(
                 name=entry.name,
                 buggy=entry.program,
-                suite=entry.suite,
                 fault_span=span,
+                suite=entry.suite,
                 reference=entry.reference_fix,
                 reference_ast=ref_ast,
-            )
-        )
-    return tasks
-
-
-def tasks_from_mechanical_bugs(
-    bugs: Sequence[MechanicalBug], entries: Sequence[CorpusEntry]
-) -> list[RepairTask]:
-    """Held-out evaluation tasks built from mechanical corruptions of
-    correct seeds; the base program is the reference fix."""
-    by_name = {entry.name: entry for entry in entries}
-    tasks = []
-    for bug in bugs:
-        base = by_name[bug.base_name]
-        tasks.append(
-            RepairTask(
-                name=f"{bug.base_name}#{bug.rule_id}@{bug.anchor_span}",
-                buggy=bug.mutant,
-                suite=base.suite,
-                fault_span=bug.mutant_region,
-                reference=base.program,
-                reference_ast=base.ast,
             )
         )
     return tasks
@@ -116,6 +99,21 @@ class PatchAssessment:
             raise ValueError("correct implies plausible")
         if self.plausible and not self.compiles:
             raise ValueError("plausible implies compiles")
+
+
+def propose_regions(
+    model: Seq2SeqModel,
+    program: SourceProgram,
+    region: Span,
+    k: int,
+    rep_cfg: RepresentationConfig,
+    vocab: Vocabulary,
+) -> list[tuple[str, float]]:
+    """Beam-decode k replacement texts for one marked region."""
+    input_tokens = build_input(program, region, rep_cfg, vocab)
+    scorer = BeamScorer(model, input_tokens)
+    candidates = beam_search(scorer, k=k, max_len=model.config.max_tgt_len)
+    return [(vocab.decode(list(c.content_tokens)), c.log_prob) for c in candidates]
 
 
 def repair(
@@ -150,16 +148,17 @@ def assess(
     task: RepairTask,
     fuel: int = DEFAULT_FUEL,
 ) -> list[PatchAssessment]:
-    """Nested compiles/plausible/correct verdicts per candidate."""
+    """Nested compiles/plausible/correct verdicts per candidate; never
+    plausible without a suite, never correct without a reference."""
     out = []
     for candidate in candidates:
         ast, diagnostics = analyze(candidate.program)
         compiles = ast is not None and not diagnostics
         plausible = False
         correct = False
-        if compiles:
+        if compiles and task.suite is not None:
             plausible = run_tests(ast, task.suite, fuel=fuel).all_pass
-            if plausible:
+            if plausible and task.reference_ast is not None:
                 correct = ast_equal_normalized(ast, task.reference_ast)
         out.append(
             PatchAssessment(rank=candidate.rank, compiles=compiles, plausible=plausible, correct=correct)

@@ -293,13 +293,6 @@ DEFAULT_RULES: list[CorruptionRule] = [
 ]
 
 
-def rule_by_id(rule_id: str) -> CorruptionRule:
-    for rule in DEFAULT_RULES:
-        if rule.id == rule_id:
-            return rule
-    raise KeyError(rule_id)
-
-
 def _find_statement(ast: Ast, span: Span):
     for fn in ast.functions:
         for stmt in walk_statements(fn.body):

@@ -65,11 +65,6 @@ def analyze(source: SourceProgram | str) -> tuple[Ast | None, list[Diagnostic]]:
     return ast, typecheck(ast)
 
 
-def compiles(source: SourceProgram | str) -> bool:
-    ast, diagnostics = analyze(source)
-    return ast is not None and not diagnostics
-
-
 __all__ = [
     "Ast",
     "BOOL",
@@ -90,7 +85,6 @@ __all__ = [
     "TestSuite",
     "analyze",
     "ast_equal_normalized",
-    "compiles",
     "derive_fault_region",
     "enumerate_statement_locations",
     "format_expression",

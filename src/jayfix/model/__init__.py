@@ -2,7 +2,7 @@
 training with early stopping, beam-search decoding, checkpoints, and
 the finite-difference gradient gate."""
 
-from .beam import BeamCandidate, beam_search, exhaustive_top_k
+from .beam import BeamCandidate, beam_search
 from .checkpoint import load_checkpoint, save_checkpoint
 from .gradcheck import GradCheckResult, grad_check, micro_config
 from .training import (
@@ -30,7 +30,6 @@ __all__ = [
     "TrainingDiverged",
     "beam_search",
     "evaluate_loss",
-    "exhaustive_top_k",
     "grad_check",
     "load_checkpoint",
     "make_batch",

@@ -104,36 +104,3 @@ def beam_search(
         for i, (tokens, log_prob) in enumerate(results)
     ]
 
-
-def exhaustive_top_k(
-    scorer: Scorer,
-    k: int,
-    max_len: int,
-    forbidden: tuple[int, ...] = (PAD, BOS),
-) -> list[BeamCandidate]:
-    """Brute-force oracle: enumerate every complete sequence up to
-    max_len (EOS-terminated, or EOS-free at exactly max_len) and rank
-    them all. Only viable for toy vocabularies."""
-    complete: list[tuple[tuple[int, ...], float]] = []
-
-    def expand(prefix: tuple[int, ...], score: float) -> None:
-        if len(prefix) == max_len:
-            complete.append((prefix, score))
-            return
-        row = scorer.step_logprobs([list(prefix)])[0]
-        for token_id in range(scorer.vocab_size):
-            if token_id in forbidden:
-                continue
-            extended = prefix + (token_id,)
-            extended_score = score + float(row[token_id])
-            if token_id == EOS:
-                complete.append((extended, extended_score))
-            else:
-                expand(extended, extended_score)
-
-    expand((), 0.0)
-    complete.sort(key=_sort_key)
-    return [
-        BeamCandidate(tokens=tokens, log_prob=log_prob, rank=i + 1)
-        for i, (tokens, log_prob) in enumerate(complete[:k])
-    ]

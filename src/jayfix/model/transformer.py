@@ -335,9 +335,10 @@ class BeamScorer:
     self-attention keys and values over BOS and each prefix. When every
     prefix extends a prefix of the previous call by one token, as in
     beam search, it gathers the parents' rows and decodes only the new
-    position. Any other call (the first, or `exhaustive_top_k`'s
-    depth-first calls) rebuilds the rows from BOS one position at a
-    time with the same step, so there is one inference path.
+    position. Any other call (the first, or the depth-first calls of the
+    exhaustive oracle in `tests/helpers.py`) rebuilds the rows from BOS
+    one position at a time with the same step, so there is one inference
+    path.
     """
 
     def __init__(self, model: Seq2SeqModel, input_tokens: list[int]):

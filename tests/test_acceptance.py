@@ -16,12 +16,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import exhaustive_top_k, tasks_from_mechanical_bugs
 
 from jayfix.backtranslate import LoopConfig, run_loop
 from jayfix.cli import EXIT_OK, main as cli_main
 from jayfix.corpus import SampleStore, correct_entries, load_corpus, split_holdout
 from jayfix.critics import CriticKind, judge
-from jayfix.evaluate import PatchAssessment, evaluate, repair, tasks_from_mechanical_bugs
+from jayfix.evaluate import PatchAssessment, evaluate, repair
 from jayfix.mechanical import DEFAULT_RULES, generate_mechanical_dataset
 from jayfix.minilang import SourceProgram, analyze, run_tests
 from jayfix.model import (
@@ -30,7 +31,6 @@ from jayfix.model import (
     Seq2SeqModel,
     TrainConfig,
     beam_search,
-    exhaustive_top_k,
     grad_check,
     load_checkpoint,
     save_checkpoint,

@@ -10,12 +10,11 @@ from jayfix.backtranslate import (
     LoopConfig,
     bt_iteration,
     generate_candidates,
-    initial_bug_seeds,
-    propose_regions,
     run_loop,
 )
 from jayfix.corpus import SampleStore, load_corpus
 from jayfix.critics import FAMILY_NONE, POLARITY_BUGGY, POLARITY_CORRECT, CriticKind
+from jayfix.evaluate import CandidatePatch, assess, propose_regions, tasks_from_corpus
 from jayfix.minilang import DEFAULT_FUEL, enumerate_statement_locations, region_text, splice, splice_region
 from jayfix.model import ModelConfig, Seq2SeqModel, TrainConfig, load_checkpoint
 from jayfix.representation import RepresentationConfig, Vocabulary, build_input
@@ -55,12 +54,12 @@ def test_loop_config_defaults():
     assert cfg.iterations >= 1
 
 
-def test_initial_bug_seeds_cover_buggy_corpus(world):
+def test_corpus_tasks_cover_buggy_corpus(world):
     entries, _, _ = world
-    seeds = initial_bug_seeds(entries)
-    assert len(seeds) == 10
-    for seed in seeds:
-        assert seed.region.end_line <= seed.program.line_count
+    tasks = tasks_from_corpus(entries)
+    assert len(tasks) == 10
+    for task in tasks:
+        assert task.fault_span.end_line <= task.buggy.line_count
 
 
 def test_single_iteration_none_critic_counts(world, tmp_path):
@@ -72,15 +71,15 @@ def test_single_iteration_none_critic_counts(world, tmp_path):
     fixer = make_model(vocab, rep_cfg, seed=1)
     breaker = make_model(vocab, rep_cfg, seed=2)
     cfg = LoopConfig(iterations=1, k_correct=2, k_buggy=1, critic_family="none", seed=3)
-    log, new_seeds = bt_iteration(
-        fixer, breaker, subset, initial_bug_seeds(subset), store, cfg, rep_cfg, TRAIN_CFG, vocab, iteration=1
+    log, new_tasks = bt_iteration(
+        fixer, breaker, subset, tasks_from_corpus(subset), store, cfg, rep_cfg, TRAIN_CFG, vocab, iteration=1
     )
     # with K_buggy=1 and no critic, phase 5 yields exactly one candidate per location
     assert log.bug_candidates == len(locations)
     assert log.bug_kept == len(locations)
     assert log.fix_samples_appended <= len(locations)
     assert log.store_total_after == len(store)
-    assert len(new_seeds) <= len(locations)
+    assert len(new_tasks) <= len(locations)
 
 
 def test_store_grows_monotonically_across_iterations(world, tmp_path):
@@ -119,7 +118,7 @@ def test_n1_loop_equals_single_iteration(world, tmp_path):
         patience=TRAIN_CFG.patience, seed=derive_seed("bt-train", TRAIN_CFG.seed, 1),
     )
     log_b, _ = bt_iteration(
-        fixer_b, breaker_b, subset, initial_bug_seeds(subset), store_b, cfg, rep_cfg, single_cfg, vocab, iteration=1
+        fixer_b, breaker_b, subset, tasks_from_corpus(subset), store_b, cfg, rep_cfg, single_cfg, vocab, iteration=1
     )
     assert len(logs) == 1
     log_a = logs[0]
@@ -151,20 +150,20 @@ def test_loop_is_deterministic(world, tmp_path):
 def test_identity_fixes_are_discarded(world, tmp_path):
     entries, vocab, rep_cfg = world
     subset = small_world(entries, n_correct=1, n_buggy=1)
-    seeds = initial_bug_seeds(subset)
+    tasks = tasks_from_corpus(subset)
     store = SampleStore(tmp_path / "store.jsonl")
     fixer = make_model(vocab, rep_cfg, seed=13)
     breaker = make_model(vocab, rep_cfg, seed=14)
     cfg = LoopConfig(iterations=1, k_correct=4, k_buggy=1, critic_family="none", seed=15)
-    log, _ = bt_iteration(fixer, breaker, subset, seeds, store, cfg, rep_cfg, TRAIN_CFG, vocab, iteration=1)
-    # candidates counted after the identity discard can never exceed seeds x K
-    assert log.fix_candidates <= len(seeds) * cfg.k_correct
+    log, _ = bt_iteration(fixer, breaker, subset, tasks, store, cfg, rep_cfg, TRAIN_CFG, vocab, iteration=1)
+    # candidates counted after the identity discard can never exceed tasks x K
+    assert log.fix_candidates <= len(tasks) * cfg.k_correct
     for batch in log.batches:
         if batch.phase != "fix_candidates":
             continue
-        seed = next(s for s in seeds if s.base_name == batch.base_name)
+        task = next(t for t in tasks if t.name == batch.base_name)
         for record in batch.candidates:
-            assert record.text != seed.program.text
+            assert record.text != task.buggy.text
 
 
 def test_checkpoints_and_logs_persisted(world, tmp_path):
@@ -194,12 +193,12 @@ def test_breaker_first_order(world, tmp_path):
         iterations=1, k_correct=2, k_buggy=1, critic_family="none",
         seed=22, order="breaker-first",
     )
-    log, new_seeds = bt_iteration(
-        fixer, breaker, subset, initial_bug_seeds(subset), store, cfg, rep_cfg, TRAIN_CFG, vocab, iteration=1
+    log, new_tasks = bt_iteration(
+        fixer, breaker, subset, tasks_from_corpus(subset), store, cfg, rep_cfg, TRAIN_CFG, vocab, iteration=1
     )
     assert log.order == "breaker-first"
-    # the fixer half saw this iteration's accepted bugs as extra seeds
-    assert log.fix_candidates >= log.bug_kept  # one seed per accepted bug, K_correct=2 each minus identities
+    # the fixer half saw this iteration's accepted bugs as extra tasks
+    assert log.fix_candidates >= log.bug_kept  # one task per accepted bug, K_correct=2 each minus identities
     assert log.store_total_after == len(store)
 
 
@@ -305,7 +304,7 @@ def test_kept_agrees_with_batch_log_and_filter_counts(world, tmp_path, monkeypat
     cfg = LoopConfig(iterations=1, k_correct=3, k_buggy=3, critic_family="compiler", seed=32)
     log, _ = bt_iteration(
         make_model(vocab, rep_cfg, seed=33), make_model(vocab, rep_cfg, seed=34), subset,
-        initial_bug_seeds(subset), SampleStore(tmp_path / "store.jsonl"), cfg, rep_cfg, TRAIN_CFG, vocab,
+        tasks_from_corpus(subset), SampleStore(tmp_path / "store.jsonl"), cfg, rep_cfg, TRAIN_CFG, vocab,
         iteration=1,
     )
     assert len(generations) == len(log.batches)
@@ -348,13 +347,13 @@ def test_single_kept_candidate_skips_the_finetune(world, tmp_path, monkeypatch):
         iterations=1, k_correct=1, k_buggy=1, critic_family="compiler", include_mechanical=False, seed=35
     )
     store = SampleStore(tmp_path / "store.jsonl")
-    log, new_seeds = bt_iteration(
+    log, new_tasks = bt_iteration(
         make_model(vocab, rep_cfg, seed=36), make_model(vocab, rep_cfg, seed=37), subset,
-        initial_bug_seeds(subset), store, cfg, rep_cfg, TRAIN_CFG, vocab, iteration=1,
+        tasks_from_corpus(subset), store, cfg, rep_cfg, TRAIN_CFG, vocab, iteration=1,
     )
     assert (log.fix_kept, log.bug_kept, log.fix_samples_appended) == (0, 1, 1)
     assert len(store.samples_for("fix", include_mechanical=False)) == 1
-    assert len(new_seeds) == 1
+    assert len(new_tasks) == 1
     assert (log.fixer_finetuned, log.fixer_val_loss) == (False, None)
     assert (log.breaker_finetuned, log.breaker_val_loss) == (False, None)
 
@@ -388,7 +387,7 @@ def test_every_backtranslated_sample_inverts_its_edit(world, tmp_path, monkeypat
     )
     log, _ = bt_iteration(
         make_model(vocab, rep_cfg, seed=39), make_model(vocab, rep_cfg, seed=40), subset,
-        initial_bug_seeds(subset), SampleStore(tmp_path / "store.jsonl"), cfg, rep_cfg, TRAIN_CFG, vocab,
+        tasks_from_corpus(subset), SampleStore(tmp_path / "store.jsonl"), cfg, rep_cfg, TRAIN_CFG, vocab,
         iteration=1,
     )
     assert log.rejected_length == 0
@@ -404,3 +403,28 @@ def test_every_backtranslated_sample_inverts_its_edit(world, tmp_path, monkeypat
     # the two-line proposals resize the region, so a sample that records
     # the base span instead of the candidate's cannot pass
     assert any(c.splice.base_region != c.splice.mutant_region for _, g, _ in batches for c, _ in g.kept)
+
+
+def test_breaker_half_tasks_are_judged_by_their_base_program(world, tmp_path, monkeypatch):
+    # an accepted bug becomes a repair task with its base program's suite,
+    # and that program as the reference: restoring it is a correct patch
+    entries, vocab, rep_cfg = world
+    subset = small_world(entries, n_correct=2, n_buggy=1)
+    _stub_beam(monkeypatch, lambda region: [region + " +", region.replace("+", "-")])
+    monkeypatch.setattr(backtranslate, "_finetune", lambda *args: 0.0)  # bookkeeping only
+    cfg = LoopConfig(
+        iterations=1, k_correct=1, k_buggy=2, critic_family="compiler", max_locations_per_program=3, seed=41
+    )
+    log, new_tasks = bt_iteration(
+        make_model(vocab, rep_cfg, seed=42), make_model(vocab, rep_cfg, seed=43), subset,
+        tasks_from_corpus(subset), SampleStore(tmp_path / "store.jsonl"), cfg, rep_cfg, TRAIN_CFG, vocab,
+        iteration=1,
+    )
+    assert new_tasks and len(new_tasks) <= log.bug_kept
+    by_name = {entry.name: entry for entry in subset if entry.status == "correct"}
+    for task in new_tasks:
+        base = by_name[task.name]
+        assert task.suite == base.suite
+        assert task.reference == base.program and task.reference_ast is base.ast
+        [verdict] = assess([CandidatePatch(1, 0.0, "", task.reference)], task)
+        assert verdict.correct

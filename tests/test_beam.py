@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from jayfix.model.beam import beam_search, exhaustive_top_k
+from helpers import exhaustive_top_k
+from jayfix.model.beam import beam_search
 from jayfix.representation import BOS, EOS, PAD
 
 

@@ -213,6 +213,39 @@ def test_config_echo_is_fully_resolved(workspace):
     assert echoed["model"]["vocab_size"] > 0
 
 
+def _echoed_config(root, work_dir) -> dict:
+    """The config gen-mechanical echoed into the shared work directory,
+    pointed at another work directory."""
+    echoed = json.loads((root / "work" / "config.json").read_text())
+    assert "vocab_size" in echoed["model"]
+    return {**echoed, "work_dir": str(work_dir)}
+
+
+def test_echoed_config_reruns(workspace, tmp_path):
+    root, _ = workspace
+    echoed = _echoed_config(root, tmp_path / "work")
+    config_path = tmp_path / "echoed.json"
+    config_path.write_text(json.dumps(echoed))
+    assert main(["gen-mechanical", "--config", str(config_path)]) == EXIT_OK
+    assert main(["init-train", "--config", str(config_path)]) == EXIT_OK
+    # the echoed settings are the run's settings: same echo, same models
+    assert json.loads((tmp_path / "work" / "init" / "config.json").read_text()) == echoed
+    for role in ("fixer", "breaker"):
+        ckpt = Path("init") / f"{role}.ckpt"
+        assert (tmp_path / "work" / ckpt).read_bytes() == (root / "work" / ckpt).read_bytes()
+
+
+def test_config_for_another_vocabulary_is_data_error(workspace, tmp_path, capsys):
+    root, _ = workspace
+    echoed = _echoed_config(root, tmp_path / "work")
+    echoed["model"] = {**echoed["model"], "vocab_size": echoed["model"]["vocab_size"] + 1}
+    config_path = tmp_path / "echoed.json"
+    config_path.write_text(json.dumps(echoed))
+    assert main(["gen-mechanical", "--config", str(config_path)]) == EXIT_DATA
+    assert "vocab_size" in capsys.readouterr().err
+    assert not (tmp_path / "work").exists()
+
+
 @pytest.mark.parametrize("error, code", [
     (lambda: TrainingDiverged(epoch=1, step=2, loss=float("nan")), EXIT_DIVERGED),
     (lambda: ValueError("bad value"), EXIT_USAGE),

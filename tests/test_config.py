@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import pytest
 
-from jayfix.config import RunConfig
+from jayfix.config import DataError, RunConfig
 from jayfix.representation import RepresentationConfig
 
 
@@ -72,6 +73,21 @@ def test_resolved_config_reads_back():
     cfg = RunConfig.from_json({"seed": 4, "loop": {"k_buggy": 2}, "train": {"max_epochs": 3}})
     echoed = cfg.resolved_json()
     assert RunConfig.from_json(echoed).resolved_json() == echoed
+
+
+def test_echo_with_vocabulary_reads_back():
+    # the echo after gen-mechanical names model.vocab_size; it re-runs as is
+    cfg = RunConfig.from_json({"seed": 4, "model_preset": "tiny", "model": {"d_model": 16}})
+    echoed = cfg.resolved_json(vocab_size=380)
+    assert set(echoed) == {f.name for f in fields(RunConfig)}
+    assert echoed["model"]["vocab_size"] == 380
+    assert RunConfig.from_json(echoed).resolved_json(vocab_size=380) == echoed
+
+
+def test_echo_for_another_vocabulary_is_a_data_error():
+    echoed = RunConfig().resolved_json(vocab_size=380)
+    with pytest.raises(DataError, match="vocab_size"):
+        RunConfig.from_json(echoed).model_config(vocab_size=381)
 
 
 def test_representation_validation():

@@ -99,7 +99,7 @@ def test_filter_none_is_identity(gcd):
 
 
 def test_filter_counts_match_compile_oracle(gcd):
-    from jayfix.minilang import compiles
+    from helpers import compiles
 
     batch = _mutant_batch(gcd)
     expected = sum(1 for program, _ in batch if compiles(program))

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
+from helpers import tasks_from_mechanical_bugs
 
 from jayfix.evaluate import (
     CandidatePatch,
@@ -8,7 +11,6 @@ from jayfix.evaluate import (
     assess,
     evaluate,
     tasks_from_corpus,
-    tasks_from_mechanical_bugs,
 )
 from jayfix.minilang import SourceProgram, Span, derive_fault_region, splice
 from jayfix.model import ModelConfig, Seq2SeqModel
@@ -106,6 +108,19 @@ def test_unchanged_buggy_program_is_never_correct(tasks):
     for task in tasks:
         [result] = assess([_candidate(1, task.buggy)], task)
         assert not result.plausible and not result.correct
+
+
+def test_task_without_suite_is_never_plausible(tasks):
+    task = replace(next(t for t in tasks if t.name == "gcd_buggy"), suite=None)
+    [result] = assess([_candidate(1, SourceProgram("fixed", task.reference.text))], task)
+    assert result.compiles and not result.plausible and not result.correct
+
+
+def test_task_without_reference_is_never_correct(tasks):
+    task = replace(next(t for t in tasks if t.name == "gcd_buggy"), reference=None, reference_ast=None)
+    fixed = next(t for t in tasks if t.name == "gcd_buggy").reference
+    [result] = assess([_candidate(1, SourceProgram("fixed", fixed.text))], task)
+    assert result.compiles and result.plausible and not result.correct
 
 
 def test_assessment_chain_is_enforced():

@@ -12,7 +12,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from jayfix.model import BeamScorer, ModelConfig, Seq2SeqModel, beam_search, exhaustive_top_k, micro_config, tape
+from helpers import exhaustive_top_k
+from jayfix.model import BeamScorer, ModelConfig, Seq2SeqModel, beam_search, micro_config, tape
 from jayfix.representation import BOS, EOS, PAD
 
 TOLERANCE = 1e-12

@@ -1,11 +1,11 @@
 from __future__ import annotations
 
+from helpers import rule_by_id
 from jayfix.corpus import DIRECTION_BREAK, DIRECTION_FIX
 from jayfix.mechanical import (
     DEFAULT_RULES,
     apply_rule,
     generate_mechanical_dataset,
-    rule_by_id,
 )
 from jayfix.minilang import (
     Span,

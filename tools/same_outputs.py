@@ -20,7 +20,10 @@ echo is therefore the same on both sides. For each config the matrix is:
   `backtranslate`, then `evaluate --model runs/*/iter1/fixer.ckpt`;
 - `gen-bugs --critic C` for each critic, at the config's K_buggy and
   with `--beam 3`;
-- `repair corpus/gcd_buggy.jay --span 4:4 --beam 10 --reference corpus/gcd.jay`.
+- `repair corpus/gcd_buggy.jay --span 4:4 --beam 10 --reference corpus/gcd.jay`;
+- the same `repair` of a copy of `gcd_buggy.jay` that has no
+  `.tests.json` beside it, once with that `--reference` and once
+  without, so a task with no suite, and one with neither judge.
 
 The stdout of every command is kept under `stdout/`, and each `log.json`
 is written again without its `wall_clock_sec`, the one field that reads
@@ -123,6 +126,13 @@ class Side:
         self.jayfix(f"{name}-repair", "repair", "--config", base_config, "corpus/gcd_buggy.jay",
                     "--span", "4:4", "--beam", "10", "--reference", "corpus/gcd.jay",
                     "--out", str(base / "repair"))
+        lone = base / "no-suite" / "gcd_buggy.jay"
+        lone.parent.mkdir()
+        shutil.copy(self.out / "corpus" / "gcd_buggy.jay", lone)
+        for tag, reference in (("reference", ["--reference", "corpus/gcd.jay"]), ("no-reference", [])):
+            self.jayfix(f"{name}-repair-no-suite-{tag}", "repair", "--config", base_config, str(lone),
+                        "--span", "4:4", "--beam", "10", *reference,
+                        "--out", str(base / f"repair-no-suite-{tag}"))
 
 
 def strip_wall_clock(out: Path) -> None:
