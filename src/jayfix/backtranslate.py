@@ -36,6 +36,7 @@ from .corpus import (
     CorpusEntry,
     DIRECTION_BREAK,
     DIRECTION_FIX,
+    HOLDOUT_FRACTION,
     ORIGIN_BACKTRANSLATION,
     SampleStore,
     TrainingSample,
@@ -46,6 +47,7 @@ from .corpus import (
 from .critics import (
     CriticKind,
     CriticVerdict,
+    FAMILIES,
     FilterCounts,
     POLARITY_BUGGY,
     POLARITY_CORRECT,
@@ -65,7 +67,6 @@ from .model import Seq2SeqModel, TrainConfig, save_checkpoint, train
 from .representation import RegionTooLong, RepresentationConfig, Vocabulary
 from .util import content_hash, derive_rng, derive_seed, write_json
 
-HOLDOUT_FRACTION = 0.02
 
 ORDER_FIXER_FIRST = "fixer-first"
 ORDER_BREAKER_FIRST = "breaker-first"
@@ -89,6 +90,8 @@ class LoopConfig:
             raise ValueError("iterations, k_correct and k_buggy must be >= 1")
         if self.order not in (ORDER_FIXER_FIRST, ORDER_BREAKER_FIRST):
             raise ValueError(f"unknown order {self.order!r}")
+        if self.critic_family not in FAMILIES:
+            raise ValueError(f"unknown critic {self.critic_family!r}; pick one of {', '.join(FAMILIES)}")
 
 
 @dataclass

@@ -20,6 +20,7 @@ from .corpus import (
     CorpusError,
     DIRECTION_BREAK,
     DIRECTION_FIX,
+    HOLDOUT_FRACTION,
     SampleStore,
     correct_entries,
     load_corpus,
@@ -59,10 +60,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-class UsageError(Exception):
-    pass
-
-
 def _load_config(args) -> RunConfig:
     if args.config:
         cfg = RunConfig.from_file(args.config)
@@ -77,9 +74,10 @@ def _load_config(args) -> RunConfig:
     )
     if getattr(args, "k_buggy_beam", None) is not None:
         cfg.loop["k_buggy"] = args.k_buggy_beam
-    critic = cfg.loop.get("critic_family")
-    if critic is not None and critic not in FAMILIES:
-        raise UsageError(f"unknown critic {critic!r}; pick one of {', '.join(FAMILIES)}")
+    # resolving the sections checks their values before any output
+    cfg.train_config()
+    cfg.loop_config()
+    cfg.representation_config()
     return cfg
 
 
@@ -211,7 +209,7 @@ def cmd_init_train(args) -> int:
             model_cfg = replace(model_cfg, seed=derive_seed("breaker-init", cfg.seed))
         model = Seq2SeqModel(model_cfg)
         split_seed = derive_seed("init-holdout", cfg.seed, role)
-        train_set, val_set = split_holdout(samples, 0.02, split_seed)
+        train_set, val_set = split_holdout(samples, HOLDOUT_FRACTION, split_seed)
         result = train(model, train_set, val_set, train_cfg)
         save_checkpoint(model, paths["init"] / f"{role}.ckpt")
         curves[role] = asdict(result)
@@ -481,7 +479,7 @@ def main(argv=None) -> int:
     except (DataError, CorpusError, MiniLangError, FileNotFoundError) as err:
         print(f"data error: {_describe(err)}", file=sys.stderr)
         return EXIT_DATA
-    except (UsageError, ValueError) as err:
+    except ValueError as err:
         print(f"error: {_describe(err)}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -63,6 +63,7 @@ class CorpusEntry:
     status: str
     ast: Ast = field(compare=False)
     reference_fix: Optional[SourceProgram] = None
+    reference_ast: Optional[Ast] = field(default=None, compare=False)
 
     @property
     def name(self) -> str:
@@ -139,6 +140,7 @@ def load_corpus(
             if status == STATUS_BUGGY and report.all_pass:
                 raise CorpusError("marked buggy but passes all tests")
             reference: Optional[SourceProgram] = None
+            ref_ast: Optional[Ast] = None
             if item.get("reference_fix"):
                 ref_path = directory / item["reference_fix"]
                 if not ref_path.exists():
@@ -149,7 +151,7 @@ def load_corpus(
                     raise CorpusError("reference fix does not compile")
                 if not run_tests(ref_ast, suite, fuel=fuel).all_pass:
                     raise CorpusError("reference fix fails tests")
-            entries.append(CorpusEntry(program, suite, status, ast, reference))
+            entries.append(CorpusEntry(program, suite, status, ast, reference, ref_ast))
         except (CorpusError, json.JSONDecodeError, KeyError, ValueError) as err:
             rejected.append(RejectedEntry(name, str(err)))
     return entries, rejected
@@ -246,6 +248,9 @@ def sample_from_edit(
     )
 
 
+HOLDOUT_FRACTION = 0.02  # the validation share of every training run's samples
+
+
 def split_holdout(
     samples: list[TrainingSample], fraction: float, seed: int
 ) -> tuple[list[TrainingSample], list[TrainingSample]]:
@@ -324,9 +329,6 @@ class SampleStore:
 
     def __len__(self) -> int:
         return len(self.samples)
-
-    def __contains__(self, sample: TrainingSample) -> bool:
-        return sample.content_key() in self._keys
 
     def append(self, batch: Iterable[TrainingSample]) -> int:
         """Add new samples, skipping content duplicates. The batch is

@@ -58,9 +58,6 @@ class CriticKind:
         if self.polarity not in POLARITIES:
             raise ValueError(f"unknown critic polarity {self.polarity!r}")
 
-    def __str__(self) -> str:
-        return f"{self.family}/{self.polarity}"
-
 
 @dataclass(frozen=True)
 class CriticVerdict:

@@ -63,9 +63,6 @@ def tasks_from_corpus(entries: Sequence[CorpusEntry]) -> list["RepairTask"]:
         if entry.reference_fix is None:
             continue
         span, _replacement = derive_fault_region(entry.program.text, entry.reference_fix.text)
-        ref_ast, diags = analyze(entry.reference_fix)
-        if ref_ast is None or diags:
-            continue
         tasks.append(
             RepairTask(
                 name=entry.name,
@@ -73,7 +70,7 @@ def tasks_from_corpus(entries: Sequence[CorpusEntry]) -> list["RepairTask"]:
                 fault_span=span,
                 suite=entry.suite,
                 reference=entry.reference_fix,
-                reference_ast=ref_ast,
+                reference_ast=entry.reference_ast,
             )
         )
     return tasks

@@ -95,21 +95,19 @@ def _render(stmt, indent: str) -> list[str]:
     return format_statement(stmt, depth)
 
 
-def _header_line_edit(ctx: RuleContext, new_stmt) -> tuple[Span, list[str]]:
-    """Replace only the first line of a multi-line statement (its
-    header); used by condition rewrites so the bug region stays small.
-    An if-statement that continues an else-if chain keeps its
-    `} else if` header shape."""
+def _statement_edit(ctx: RuleContext, new_stmt) -> tuple[Span, list[str]]:
+    """The edit that rewrites the targeted statement as `new_stmt`. A
+    multi-line if/while changes only its header line, so the bug region
+    stays small, and one that continues an else-if chain keeps its
+    `} else if` header shape; any other statement is rewritten whole."""
     rendered = _render(new_stmt, ctx.indent)
+    if not (isinstance(ctx.stmt, (If, While)) and ctx.span.end_line > ctx.span.start_line):
+        return ctx.span, rendered
     header = rendered[0]
     original = ctx.program.line(ctx.span.start_line)
     if original.lstrip(" ").startswith("} else if") and header.lstrip(" ").startswith("if"):
         header = ctx.indent + "} else " + header.lstrip(" ")
     return Span(ctx.span.start_line, ctx.span.start_line), [header]
-
-
-def _whole_stmt_edit(ctx: RuleContext, new_stmt) -> tuple[Span, list[str]]:
-    return ctx.span, _render(new_stmt, ctx.indent)
 
 
 def _calls_in_statement(stmt) -> list[Call]:
@@ -156,10 +154,7 @@ def _swap_call_args(ctx: RuleContext, rng: np.random.Generator):
         swapped = dataclasses.replace(
             call, args=(call.args[1], call.args[0]) + call.args[2:]
         )
-        new_stmt = _replace_expr(ctx.stmt, call, swapped)
-        if isinstance(ctx.stmt, (If, While)) and ctx.span.end_line > ctx.span.start_line:
-            return _header_line_edit(ctx, new_stmt)
-        return _whole_stmt_edit(ctx, new_stmt)
+        return _statement_edit(ctx, _replace_expr(ctx.stmt, call, swapped))
     return None
 
 
@@ -182,21 +177,14 @@ def _replace_binary_operator(ctx: RuleContext, rng: np.random.Generator):
     pool = arith if node.op in arith else comparison
     alternatives = [op for op in pool if op != node.op]
     new_op = alternatives[int(rng.integers(len(alternatives)))]
-    new_stmt = _replace_expr(ctx.stmt, node, dataclasses.replace(node, op=new_op))
-    if isinstance(ctx.stmt, (If, While)) and ctx.span.end_line > ctx.span.start_line:
-        cond_nodes = walk_expressions(ctx.stmt)
-        if node not in cond_nodes:
-            return None
-        return _header_line_edit(ctx, new_stmt)
-    return _whole_stmt_edit(ctx, new_stmt)
+    return _statement_edit(ctx, _replace_expr(ctx.stmt, node, dataclasses.replace(node, op=new_op)))
 
 
 def _negate_condition(ctx: RuleContext, rng: np.random.Generator):
     if not isinstance(ctx.stmt, (If, While)):
         return None
     negated = Unary("!", ctx.stmt.cond, ctx.stmt.cond.span)
-    new_stmt = dataclasses.replace(ctx.stmt, cond=negated)
-    return _header_line_edit(ctx, new_stmt)
+    return _statement_edit(ctx, dataclasses.replace(ctx.stmt, cond=negated))
 
 
 def _in_scope_names(ctx: RuleContext) -> list[str]:
@@ -204,13 +192,7 @@ def _in_scope_names(ctx: RuleContext) -> list[str]:
     for stmt in walk_statements(ctx.function.body):
         if isinstance(stmt, Let):
             names.append(stmt.name)
-    seen: set[str] = set()
-    ordered = []
-    for name in names:
-        if name not in seen:
-            seen.add(name)
-            ordered.append(name)
-    return ordered
+    return list(dict.fromkeys(names))
 
 
 def _replace_variable(ctx: RuleContext, rng: np.random.Generator):
@@ -224,10 +206,7 @@ def _replace_variable(ctx: RuleContext, rng: np.random.Generator):
         if not others:
             continue
         replacement = others[int(rng.integers(len(others)))]
-        new_stmt = _replace_expr(ctx.stmt, var, Var(replacement, var.span))
-        if isinstance(ctx.stmt, (If, While)):
-            return _header_line_edit(ctx, new_stmt)
-        return _whole_stmt_edit(ctx, new_stmt)
+        return _statement_edit(ctx, _replace_expr(ctx.stmt, var, Var(replacement, var.span)))
     return None
 
 
@@ -244,10 +223,7 @@ def _perturb_integer_literal(ctx: RuleContext, rng: np.random.Generator):
         replacement = dataclasses.replace(node, value=new_value)
     else:
         replacement = Unary("-", IntLit(-new_value, node.span), node.span)
-    new_stmt = _replace_expr(ctx.stmt, node, replacement)
-    if isinstance(ctx.stmt, (If, While)):
-        return _header_line_edit(ctx, new_stmt)
-    return _whole_stmt_edit(ctx, new_stmt)
+    return _statement_edit(ctx, _replace_expr(ctx.stmt, node, replacement))
 
 
 def _delete_statement(ctx: RuleContext, rng: np.random.Generator):
@@ -274,10 +250,8 @@ def _replace_call(ctx: RuleContext, rng: np.random.Generator):
         if not others:
             continue
         replacement = others[int(rng.integers(len(others)))]
-        new_stmt = _replace_expr(ctx.stmt, call, dataclasses.replace(call, func=replacement))
-        if isinstance(ctx.stmt, (If, While)) and ctx.span.end_line > ctx.span.start_line:
-            return _header_line_edit(ctx, new_stmt)
-        return _whole_stmt_edit(ctx, new_stmt)
+        retargeted = dataclasses.replace(call, func=replacement)
+        return _statement_edit(ctx, _replace_expr(ctx.stmt, call, retargeted))
     return None
 
 

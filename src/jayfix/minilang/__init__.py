@@ -40,7 +40,6 @@ from .locations import (
     derive_fault_region,
     enumerate_statement_locations,
     line_indent,
-    region_text,
     splice,
     splice_region,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "line_indent",
     "parse",
     "pretty_print",
-    "region_text",
     "run_tests",
     "splice",
     "splice_region",

@@ -112,13 +112,6 @@ def derive_fault_region(buggy_text: str, fixed_text: str) -> tuple[Span, list[st
     return Span(top, end), [buggy[top - 1]]
 
 
-def region_text(text: str, span: Span) -> str:
-    lines = text.split("\n")
-    if span.end_line > len(lines):
-        raise ValueError(f"span {span} outside file of {len(lines)} lines")
-    return "\n".join(lines[span.start_line - 1 : span.end_line])
-
-
 def line_indent(text: str, line_number: int) -> str:
     line = text.split("\n")[line_number - 1]
     return line[: len(line) - len(line.lstrip(" "))]

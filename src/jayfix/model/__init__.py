@@ -1,10 +1,8 @@
 """Neural engine: tape autograd, encoder-decoder transformer, AdamW
-training with early stopping, beam-search decoding, checkpoints, and
-the finite-difference gradient gate."""
+training with early stopping, beam-search decoding and checkpoints."""
 
 from .beam import BeamCandidate, beam_search
 from .checkpoint import load_checkpoint, save_checkpoint
-from .gradcheck import GradCheckResult, grad_check, micro_config
 from .training import (
     AdamW,
     EpochStats,
@@ -22,7 +20,6 @@ __all__ = [
     "BeamCandidate",
     "BeamScorer",
     "EpochStats",
-    "GradCheckResult",
     "ModelConfig",
     "Seq2SeqModel",
     "TrainConfig",
@@ -30,10 +27,8 @@ __all__ = [
     "TrainingDiverged",
     "beam_search",
     "evaluate_loss",
-    "grad_check",
     "load_checkpoint",
     "make_batch",
-    "micro_config",
     "save_checkpoint",
     "train",
 ]

@@ -331,14 +331,13 @@ class BeamScorer:
 
     `__init__` encodes the source once and projects each decoder layer's
     cross-attention keys and values once, (1, H, S, Dh), shared by every
-    beam. `step_logprobs` keeps, from its previous call, each layer's
-    self-attention keys and values over BOS and each prefix. When every
-    prefix extends a prefix of the previous call by one token, as in
-    beam search, it gathers the parents' rows and decodes only the new
-    position. Any other call (the first, or the depth-first calls of the
-    exhaustive oracle in `tests/helpers.py`) rebuilds the rows from BOS
-    one position at a time with the same step, so there is one inference
-    path.
+    beam. It accepts exactly the calls beam search makes: `[[]]` first,
+    then each call's prefixes must each extend a prefix of the previous
+    call by one token. `step_logprobs` keeps each layer's self-attention
+    keys and values over BOS and each prefix of its previous call,
+    gathers the parents' rows and decodes only the new position. Any
+    other call raises ValueError and leaves the scorer as it was; score
+    arbitrary prefixes with teacher-forced `Seq2SeqModel.decode`.
     """
 
     def __init__(self, model: Seq2SeqModel, input_tokens: list[int]):
@@ -347,10 +346,13 @@ class BeamScorer:
         with tape.no_grad():
             self._cross_kv = model.cross_attention_kv(model.encode(src))
         self._cross_mask = model.pad_mask(src)
-        # the cache: a row per prefix of the last call, over BOS and that prefix
-        self._rows: dict[tuple[int, ...], int] = {}
-        self._cache: list[tuple[np.ndarray, np.ndarray]] = []
-        self._self_mask = np.zeros((0, 1, 1, 0))
+        # the cache: a row per prefix of the last call, over BOS and that
+        # prefix; before the first call, one empty row that BOS extends
+        c = model.config
+        empty = np.zeros((0, 1, c.n_heads, c.d_model // c.n_heads))
+        self._rows: dict[tuple[int, ...], int] = {(): 0}
+        self._cache: list[tuple[np.ndarray, np.ndarray]] = [(empty, empty)] * c.n_decoder_layers
+        self._self_mask = np.zeros((1, 1, 1, 0))
 
     @property
     def vocab_size(self) -> int:
@@ -360,33 +362,13 @@ class BeamScorer:
         """(len(prefixes), V) log-probabilities for the next token."""
         if not prefixes:
             raise ValueError("no prefixes to score")
-        keys = [tuple(prefix) for prefix in prefixes]
-        parents = [self._rows.get(key[:-1]) if key else None for key in keys]
+        keys = [(BOS, *prefix) for prefix in prefixes]
+        parents = [self._rows.get(key[:-1]) for key in keys]
         if None in parents:
-            logits = self._rebuild(keys)
-        else:
-            logits = self._advance(np.asarray([key[-1] for key in keys]), np.asarray(parents))
-            self._rows = {key: row for row, key in enumerate(keys)}
+            raise ValueError("each prefix must extend a prefix of the previous call by one token")
+        logits = self._advance(np.asarray([key[-1] for key in keys]), np.asarray(parents))
+        self._rows = {key: row for row, key in enumerate(keys)}
         return tape.log_softmax_last(logits)
-
-    def _rebuild(self, keys: list[tuple[int, ...]]) -> np.ndarray:
-        """Decode every prefix from BOS; prefixes of one length share a
-        pass, and the cache keeps the last pass."""
-        c = self.model.config
-        logits = np.empty((len(keys), self.vocab_size))
-        self._rows = {}
-        for length in sorted({len(key) for key in keys}):
-            rows = [row for row, key in enumerate(keys) if len(key) == length]
-            group = [keys[row] for row in rows]
-            tokens = np.asarray([(BOS,) + key for key in group], dtype=np.int64)
-            empty = np.zeros((0, len(group), c.n_heads, c.d_model // c.n_heads))
-            self._cache = [(empty, empty)] * c.n_decoder_layers
-            self._self_mask = np.zeros((len(group), 1, 1, 0))
-            for position in range(length + 1):
-                out = self._advance(tokens[:, position], np.arange(len(group)))
-            self._rows = {key: row for row, key in enumerate(group)}
-            logits[rows] = out
-        return logits
 
     def _advance(self, tokens: np.ndarray, parents: np.ndarray) -> np.ndarray:
         """Logits for the cached rows `parents`, each extended by its

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .minilang import SourceProgram, Span
+from .minilang.lexer import OPERATORS
 from .util import content_hash
 
 PAD, BOS, EOS, START_BUGGY, END_BUGGY, UNK = range(6)
@@ -31,18 +32,12 @@ N_BYTES = 256
 
 MAX_SPACE_RUN = 16
 
-_OPERATORS = [
-    "->", "==", "!=", "<=", ">=", "&&", "||",
-    "+", "-", "*", "/", "%", "<", ">", "=", "!",
-    "(", ")", "{", "}", "[", "]", ",", ";", ":",
-]
-
 _FIXED_LEXEMES = [
     "\n",
     *(" " * n for n in range(1, MAX_SPACE_RUN + 1)),
     *(str(d) for d in range(10)),
     "fn", "let", "if", "else", "while", "return", "true", "false", "int", "bool",
-    *_OPERATORS,
+    *OPERATORS,
 ]
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -113,7 +108,7 @@ def _atoms(text: str) -> list[str]:
             i += 1
             continue
         matched = None
-        for op in _OPERATORS:
+        for op in OPERATORS:
             if text.startswith(op, i):
                 matched = op
                 break

@@ -19,12 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..corpus import DIRECTION_FIX, TrainingSample
-from ..minilang import Span
-from ..representation import N_RESERVED
-from . import tape
-from .training import make_batch
-from .transformer import ModelConfig, Seq2SeqModel
+from jayfix.corpus import DIRECTION_FIX, TrainingSample
+from jayfix.minilang import Span
+from jayfix.model import ModelConfig, Seq2SeqModel, tape
+from jayfix.model.training import make_batch
+from jayfix.representation import N_RESERVED
 
 
 def micro_config(vocab_size: int = 16, seed: int = 0) -> ModelConfig:

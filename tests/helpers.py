@@ -1,6 +1,6 @@
 """Test-only helpers with no caller in `src/`: a brute-force beam-search
-oracle, a compile check, a corruption-rule lookup, and repair tasks
-built from mechanical bugs."""
+oracle, a compile check, a region's text, a corruption-rule lookup, and
+repair tasks built from mechanical bugs."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from typing import Sequence
 from jayfix.corpus import CorpusEntry
 from jayfix.evaluate import RepairTask
 from jayfix.mechanical import DEFAULT_RULES, CorruptionRule, MechanicalBug
-from jayfix.minilang import SourceProgram, analyze
+from jayfix.minilang import SourceProgram, Span, analyze
 from jayfix.model import BeamCandidate
 from jayfix.model.beam import Scorer
 from jayfix.representation import BOS, EOS, PAD
@@ -53,6 +53,13 @@ def exhaustive_top_k(
 def compiles(source: SourceProgram | str) -> bool:
     ast, diagnostics = analyze(source)
     return ast is not None and not diagnostics
+
+
+def region_text(text: str, span: Span) -> str:
+    lines = text.split("\n")
+    if span.end_line > len(lines):
+        raise ValueError(f"span {span} outside file of {len(lines)} lines")
+    return "\n".join(lines[span.start_line - 1 : span.end_line])
 
 
 def rule_by_id(rule_id: str) -> CorruptionRule:

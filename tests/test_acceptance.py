@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from gradcheck import grad_check
 from helpers import exhaustive_top_k, tasks_from_mechanical_bugs
 
 from jayfix.backtranslate import LoopConfig, run_loop
@@ -31,7 +32,6 @@ from jayfix.model import (
     Seq2SeqModel,
     TrainConfig,
     beam_search,
-    grad_check,
     load_checkpoint,
     save_checkpoint,
     train,

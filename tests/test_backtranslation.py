@@ -5,6 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from helpers import region_text
 from jayfix import backtranslate
 from jayfix.backtranslate import (
     LoopConfig,
@@ -15,7 +16,7 @@ from jayfix.backtranslate import (
 from jayfix.corpus import SampleStore, load_corpus
 from jayfix.critics import FAMILY_NONE, POLARITY_BUGGY, POLARITY_CORRECT, CriticKind
 from jayfix.evaluate import CandidatePatch, assess, propose_regions, tasks_from_corpus
-from jayfix.minilang import DEFAULT_FUEL, enumerate_statement_locations, region_text, splice, splice_region
+from jayfix.minilang import DEFAULT_FUEL, enumerate_statement_locations, splice, splice_region
 from jayfix.model import ModelConfig, Seq2SeqModel, TrainConfig, load_checkpoint
 from jayfix.representation import RepresentationConfig, Vocabulary, build_input
 

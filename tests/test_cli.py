@@ -195,6 +195,20 @@ def test_unknown_config_key_is_usage_error(tmp_path, request, capsys, extra):
     assert not (tmp_path / "work").exists()
 
 
+@pytest.mark.parametrize(
+    "section, override",
+    [("train", {"batch_size": 0}), ("loop", {"order": "sideways"}), ("loop", {"critic_family": "bogus"})],
+)
+def test_invalid_config_value_fails_before_any_output(tmp_path, request, section, override):
+    config = {**MICRO_CONFIG, section: {**MICRO_CONFIG[section], **override}}
+    config["corpus_dir"] = str(request.config.rootpath / "corpus")
+    config["work_dir"] = str(tmp_path / "work")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["gen-mechanical", "--config", str(config_path)]) == EXIT_USAGE
+    assert not (tmp_path / "work").exists()
+
+
 def test_missing_subcommand_is_usage_error():
     assert main([]) == EXIT_USAGE
 

@@ -12,9 +12,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import exhaustive_top_k
-from jayfix.model import BeamScorer, ModelConfig, Seq2SeqModel, beam_search, micro_config, tape
-from jayfix.representation import BOS, EOS, PAD
+from gradcheck import micro_config
+from jayfix.model import BeamScorer, ModelConfig, Seq2SeqModel, beam_search, tape
+from jayfix.representation import BOS, PAD
 
 TOLERANCE = 1e-12
 
@@ -93,27 +93,33 @@ def test_beam_search_steps_match_full_recompute(name, source):
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
-def test_exhaustive_depth_first_calls_match_full_recompute(name):
-    model = MODELS[name](seed=4)
-    # only EOS and two content tokens, so the enumeration stays small
-    forbid = tuple(i for i in range(model.config.vocab_size) if i not in (EOS, 6, 7))
-    scorer = Differential(model, SOURCES[1])
-    ours = exhaustive_top_k(scorer, k=20, max_len=4, forbidden=forbid)
-    oracle = exhaustive_top_k(FullRecomputeScorer(model, SOURCES[1]), k=20, max_len=4, forbidden=forbid)
-    assert scorer.calls == 15  # one per content prefix of length < 4
-    assert [c.tokens for c in ours] == [c.tokens for c in oracle]
+def test_other_calls_raise_and_leave_the_scorer_usable(name):
+    model = MODELS[name](seed=5)
+    scorer = Differential(model, SOURCES[0])
+    for rejected in ([[6, 7, 6]], [[], [6]]):  # first calls deeper than BOS, and ragged
+        with pytest.raises(ValueError, match="extend"):
+            scorer.step_logprobs(rejected)
+    scorer.step_logprobs([[]])  # checked against the oracle
+    rejected_then_accepted = [
+        ([[]], [[6], [7], [6]]),  # a repeat of the last call; then a repeated prefix
+        ([[6], [6, 7]], [[6, 7], [7, 6]]),  # ragged lengths
+        ([[6, 7, 6, 6]], [[6, 7, 7]]),  # two tokens deeper
+        ([[6, 7, 7], [8, 6, 7]], [[6, 7, 7, 6], [6, 7, 7, 7]]),  # a prefix the cache does not hold
+    ]
+    for rejected, accepted in rejected_then_accepted:
+        with pytest.raises(ValueError, match="extend"):
+            scorer.step_logprobs(rejected)
+        scorer.step_logprobs(accepted)
+    assert scorer.calls == 1 + len(rejected_then_accepted)
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
-def test_non_extending_calls_match_full_recompute(name):
+def test_pad_in_a_prefix_is_masked_as_in_training(name):
     model = MODELS[name](seed=5)
     scorer = Differential(model, SOURCES[0])
-    scorer.step_logprobs([[6, 7, 6]])  # a first call deeper than BOS
-    scorer.step_logprobs([[7], [6, 6]])  # ragged lengths
-    scorer.step_logprobs([[6, 6, 7], [6, 6, 6], [6, 6, 7]])  # extends the last call, a repeat included
-    scorer.step_logprobs([[7, 7]])  # a prefix the cache does not hold
-    scorer.step_logprobs([[7, PAD, 6]])  # a PAD token in the prefix is masked as in training
-    assert scorer.calls == 5
+    for prefixes in ([[]], [[7], [6]], [[7, PAD], [6, 7]], [[7, PAD, 6], [6, 7, PAD]]):
+        scorer.step_logprobs(prefixes)
+    assert scorer.calls == 4
 
 
 def test_beam_search_decodes_one_position_per_step(monkeypatch):
@@ -143,11 +149,14 @@ def test_beam_search_decodes_one_position_per_step(monkeypatch):
 
 def test_prefix_longer_than_the_model_allows_raises():
     model = tiny_model(seed=7)
-    scorer = BeamScorer(model, SOURCES[0])
-    with pytest.raises(ValueError):
-        scorer.step_logprobs([[6] * (model.config.max_tgt_len + 1)])
+    scorer = Differential(model, SOURCES[0])
+    scorer.step_logprobs([[]])
     with pytest.raises(ValueError):
         scorer.step_logprobs([[model.config.vocab_size]])
-    # a failed call leaves the scorer usable
-    expected = FullRecomputeScorer(model, SOURCES[0]).step_logprobs([[6]])
-    assert np.abs(scorer.step_logprobs([[6]]) - expected).max() <= TOLERANCE
+    # a failed call leaves the scorer usable: grow the prefix to the longest the model allows
+    prefix = []
+    while len(prefix) < model.config.max_tgt_len:
+        prefix = prefix + [6]
+        scorer.step_logprobs([prefix])
+    with pytest.raises(ValueError):
+        scorer.step_logprobs([prefix + [6]])

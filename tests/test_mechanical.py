@@ -193,3 +193,42 @@ def test_every_sample_inverts_its_edit(correct, rep_cfg, vocab):
     # deleting and duplicating statements resize the region, so a sample
     # that records the other side's span cannot pass
     assert any(bug.base_region != bug.mutant_region for bug in bugs)
+
+
+ONE_LINE_WHILE = """\
+fn add(a: int, b: int) -> int {
+    return a + b;
+}
+
+fn sub(a: int, b: int) -> int {
+    return a - b;
+}
+
+fn main() -> int {
+    let n: int = 3;
+    let s: int = 0;
+    while (add(n, s) < 10) { n = n + 1; }
+    return n;
+}
+"""
+
+EXPRESSION_RULES = (
+    "swap-call-args",
+    "replace-binary-operator",
+    "negate-condition",
+    "replace-variable",
+    "perturb-int-literal",
+    "replace-call",
+)
+
+
+def test_expression_rules_on_a_one_line_while_rewrite_it_whole():
+    program, ast = _prepared(ONE_LINE_WHILE)
+    span = Span(12, 12)
+    assert span in enumerate_statement_locations(ast)
+    for rule_id in EXPRESSION_RULES:
+        for seed in range(3):
+            bug = apply_rule(ast, program, span, rule_by_id(rule_id), seed=seed)
+            assert bug is not None, (rule_id, seed)  # None: the mutant did not parse
+            parse(bug.mutant)
+            assert bug.base_region == span

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from gradcheck import grad_check, micro_config
 from jayfix.corpus import DIRECTION_FIX, TrainingSample
 from jayfix.minilang import Span
 from jayfix.model import (
@@ -11,9 +12,7 @@ from jayfix.model import (
     Seq2SeqModel,
     TrainConfig,
     TrainingDiverged,
-    grad_check,
     load_checkpoint,
-    micro_config,
     save_checkpoint,
     train,
 )
@@ -24,7 +23,11 @@ VOCAB = 64
 
 
 def next_token_distribution(model: Seq2SeqModel, input_tokens, prefix) -> np.ndarray:
-    return np.exp(BeamScorer(model, input_tokens).step_logprobs([prefix])[0])
+    """Fed one token at a time, as beam search feeds `BeamScorer`."""
+    scorer = BeamScorer(model, input_tokens)
+    for length in range(len(prefix) + 1):
+        logprobs = scorer.step_logprobs([prefix[:length]])[0]
+    return np.exp(logprobs)
 
 
 def tiny_model(seed: int = 0) -> Seq2SeqModel:

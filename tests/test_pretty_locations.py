@@ -2,13 +2,13 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
+from helpers import region_text
 from jayfix.minilang import (
     Span,
     ast_equal_normalized,
     enumerate_statement_locations,
     parse,
     pretty_print,
-    region_text,
     splice,
     splice_region,
     typecheck,

@@ -15,6 +15,9 @@ and then `WORK/change` after each side. Every path the commands see and
 echo is therefore the same on both sides. For each config the matrix is:
 
 - `gen-mechanical`, then `init-train`;
+- `gen-mechanical` again with `per_location_cap: 0` into its own work
+  directory, so that every mutant of every rule is compared, not only
+  the one a location keeps under the config's cap;
 - for each critic `none|compiler|tests` and each `loop.order`
   `fixer-first|breaker-first`, on a fresh copy of that work directory:
   `backtranslate`, then `evaluate --model runs/*/iter1/fixer.ckpt`;
@@ -106,6 +109,10 @@ class Side:
         base_config = write_config(base / "config.json", config)
         self.jayfix(f"{name}-gen-mechanical", "gen-mechanical", "--config", base_config)
         self.jayfix(f"{name}-init-train", "init-train", "--config", base_config)
+        uncapped_config = write_config(base / "uncapped" / "config.json", {
+            **config, "per_location_cap": 0, "work_dir": str(base / "uncapped" / "work"),
+        })
+        self.jayfix(f"{name}-gen-mechanical-uncapped", "gen-mechanical", "--config", uncapped_config)
         for critic in CRITICS:
             for order in ORDERS:
                 tag = f"{name}-bt-{critic}-{order}"
