@@ -1,17 +1,18 @@
 """The back-translation loop: alternating generate -> filter ->
 accumulate -> fine-tune rounds that improve the breaker and fixer.
 
-One iteration runs two half-rounds. The fixer half: the fixer proposes
-K_correct patches per repair task (`evaluate.RepairTask`: the buggy
-corpus plus bugs accepted in earlier rounds), proposals identical to
-their input are discarded, the correct-code critic filters the rest with
-the task's suite, survivors become break-direction samples (fixed code
-in, buggy code out) in the store, and the breaker is fine-tuned on every
-break sample in the store. The breaker half mirrors it: K_buggy
-corruptions per statement location of each correct seed, the buggy-code
-critic, fix-direction samples, and a fixer fine-tune. Each accepted
-corruption becomes a repair task with its base program's suite, and that
-program as the reference fix.
+One iteration runs two half-rounds, one step (`_half`) in two
+directions. The fixer half: the fixer proposes K_correct patches per
+repair task (`evaluate.RepairTask`: the buggy corpus plus bugs accepted
+in earlier rounds), proposals identical to their input are discarded,
+the correct-code critic filters the rest with the task's suite,
+survivors become break-direction samples (fixed code in, buggy code out)
+in the store, and the breaker is fine-tuned on every break sample in the
+store. The breaker half mirrors it: K_buggy corruptions per statement
+location of each correct seed, the buggy-code critic, fix-direction
+samples, and a fixer fine-tune. Each accepted corruption not yet a task
+becomes one, with its base program's suite, and that program as the
+reference fix.
 
 The default order runs the fixer half first; `order="breaker-first"`
 swaps the halves, in which case bugs accepted by the breaker half feed
@@ -242,10 +243,11 @@ def _log_batch(
     return [sample for sample in samples if sample is not None]
 
 
-def _fixer_half(
-    fixer: Seq2SeqModel,
-    breaker: Seq2SeqModel,
-    tasks: list[RepairTask],
+def _half(
+    model: Seq2SeqModel,
+    other: Seq2SeqModel,
+    prompts: list[tuple[str, SourceProgram, list[Span], Optional[TestSuite]]],
+    polarity: str,
     store: SampleStore,
     cfg: LoopConfig,
     rep_cfg: RepresentationConfig,
@@ -253,74 +255,72 @@ def _fixer_half(
     vocab: Vocabulary,
     iteration: int,
     log: IterationLog,
-) -> None:
-    """Fixer proposes repairs; survivors train the breaker."""
-    critic = CriticKind(cfg.critic_family, POLARITY_CORRECT)
+) -> tuple[list[Generation], int, Optional[float]]:
+    """One half-round: `model` proposes for every prompt (base name,
+    program, spans, suite), the critic of `polarity` judges, the kept
+    candidates go to the store as samples for `other`, and `other` is
+    fine-tuned when anything was kept. The fixer half has the correct-code
+    polarity, the breaker half the buggy-code one. A prompt none of whose
+    spans fit the length budget logs no batch; its spans count in
+    `rejected_length`. Returns each prompt's generation, the number of
+    samples new to the store, and `other`'s validation loss, None when it
+    was not fine-tuned."""
+    fixing = polarity == POLARITY_CORRECT
+    critic = CriticKind(cfg.critic_family, polarity)
+    phase, direction = ("fix_candidates", DIRECTION_BREAK) if fixing else ("bug_candidates", DIRECTION_FIX)
+    generations: list[Generation] = []
     batch: list[TrainingSample] = []
-    for task in tasks:
+    for name, program, spans, suite in prompts:
         generation = generate_candidates(
-            fixer, task.buggy, task.name, [task.fault_span], cfg.k_correct, critic,
-            task.suite, cfg.fuel, rep_cfg, vocab, cfg.jobs,
+            model, program, name, spans, cfg.k_correct if fixing else cfg.k_buggy, critic,
+            suite, cfg.fuel, rep_cfg, vocab, cfg.jobs,
         )
-        if generation.skipped:  # the task's one region is too long; no batch to log
+        generations.append(generation)
+        if generation.skipped == len(spans):  # nothing was proposed: no batch to log
             log.rejected_length += generation.skipped
-            continue
-        batch += _log_batch(log, "fix_candidates", task.name, generation, iteration, rep_cfg, vocab)
-    log.break_samples_appended = store.append(batch)
-    if log.fix_kept > 0:
-        log.breaker_val_loss = _finetune(breaker, DIRECTION_BREAK, store, cfg, train_cfg, iteration)
-        log.breaker_finetuned = log.breaker_val_loss is not None
+        else:
+            batch += _log_batch(log, phase, name, generation, iteration, rep_cfg, vocab)
+    appended = store.append(batch)
+    val_loss = None
+    if any(generation.kept for generation in generations):
+        val_loss = _finetune(other, direction, store, cfg, train_cfg, iteration)
+    return generations, appended, val_loss
 
 
-def _breaker_half(
-    fixer: Seq2SeqModel,
-    breaker: Seq2SeqModel,
+def _breaker_locations(entry: CorpusEntry, cfg: LoopConfig, iteration: int) -> list[Span]:
+    """The statement locations the breaker corrupts in one correct program:
+    all of them, or a seeded sample of `max_locations_per_program` in
+    source order."""
+    locations = enumerate_statement_locations(entry.ast)
+    if cfg.max_locations_per_program and len(locations) > cfg.max_locations_per_program:
+        rng = derive_rng("bt-locations", cfg.seed, iteration, entry.name)
+        keep = sorted(rng.choice(len(locations), size=cfg.max_locations_per_program, replace=False).tolist())
+        locations = [locations[i] for i in keep]
+    return locations
+
+
+def _tasks_from_bugs(
     entries: list[CorpusEntry],
-    store: SampleStore,
-    cfg: LoopConfig,
-    rep_cfg: RepresentationConfig,
-    train_cfg: TrainConfig,
-    vocab: Vocabulary,
+    generations: list[Generation],
+    tasks: list[RepairTask],
     iteration: int,
-    log: IterationLog,
 ) -> list[RepairTask]:
-    """Breaker corrupts correct seeds; survivors train the fixer and
-    become new repair tasks."""
-    critic = CriticKind(cfg.critic_family, POLARITY_BUGGY)
-    batch: list[TrainingSample] = []
+    """A repair task per bug kept from each entry, judged by the entry's
+    suite with the entry as the reference fix. Each (name, text, region)
+    comes once, first occurrence first, and none that `tasks` holds."""
+    seen = {(t.name, t.buggy.text, t.fault_span) for t in tasks}
     new_tasks: list[RepairTask] = []
-    for entry in sorted(correct_entries(entries), key=lambda e: e.name):
-        locations = enumerate_statement_locations(entry.ast)
-        if cfg.max_locations_per_program and len(locations) > cfg.max_locations_per_program:
-            rng = derive_rng("bt-locations", cfg.seed, iteration, entry.name)
-            keep = sorted(
-                rng.choice(len(locations), size=cfg.max_locations_per_program, replace=False).tolist()
-            )
-            locations = [locations[i] for i in keep]
-        generation = generate_candidates(
-            breaker, entry.program, entry.name, locations, cfg.k_buggy, critic,
-            entry.suite, cfg.fuel, rep_cfg, vocab, cfg.jobs,
-        )
-        batch += _log_batch(log, "bug_candidates", entry.name, generation, iteration, rep_cfg, vocab)
-        seen: set[tuple[str, Span]] = set()
+    for entry, generation in zip(entries, generations):
         for candidate, _verdict in generation.kept:
-            key = (candidate.program.text, candidate.splice.mutant_region)
-            if key not in seen:
-                seen.add(key)
-                new_tasks.append(
-                    RepairTask(
-                        name=entry.name,
-                        buggy=SourceProgram(f"{entry.name}@bt{iteration}", candidate.program.text),
-                        fault_span=candidate.splice.mutant_region,
-                        suite=entry.suite,
-                        reference=entry.program,
-                        reference_ast=entry.ast,
-                    )
-                )
-    log.fix_samples_appended = store.append(batch)
-    if log.bug_kept > 0:
-        log.fixer_val_loss = _finetune(fixer, DIRECTION_FIX, store, cfg, train_cfg, iteration)
-        log.fixer_finetuned = log.fixer_val_loss is not None
+            key = (entry.name, candidate.program.text, candidate.splice.mutant_region)
+            if key in seen:
+                continue
+            seen.add(key)
+            new_tasks.append(RepairTask(
+                name=entry.name, buggy=SourceProgram(f"{entry.name}@bt{iteration}", candidate.program.text),
+                fault_span=candidate.splice.mutant_region, suite=entry.suite,
+                reference=entry.program, reference_ast=entry.ast,
+            ))
     return new_tasks
 
 
@@ -338,16 +338,33 @@ def bt_iteration(
 ) -> tuple[IterationLog, list[RepairTask]]:
     """One full back-translation round. Models are fine-tuned in place;
     returns the log and the repair tasks made from bugs accepted this
-    round."""
+    round that `tasks` does not hold yet."""
     started = time.time()
     log = IterationLog(iteration=iteration, critic_family=cfg.critic_family, order=cfg.order)
+    context = (store, cfg, rep_cfg, train_cfg, vocab, iteration, log)
+
+    def fixer_half(repair_tasks: list[RepairTask]) -> None:
+        prompts = [(t.name, t.buggy, [t.fault_span], t.suite) for t in repair_tasks]
+        _, log.break_samples_appended, log.breaker_val_loss = _half(
+            fixer, breaker, prompts, POLARITY_CORRECT, *context
+        )
+        log.breaker_finetuned = log.breaker_val_loss is not None
+
+    def breaker_half() -> list[RepairTask]:
+        correct = sorted(correct_entries(entries), key=lambda e: e.name)
+        prompts = [(e.name, e.program, _breaker_locations(e, cfg, iteration), e.suite) for e in correct]
+        generations, log.fix_samples_appended, log.fixer_val_loss = _half(
+            breaker, fixer, prompts, POLARITY_BUGGY, *context
+        )
+        log.fixer_finetuned = log.fixer_val_loss is not None
+        return _tasks_from_bugs(correct, generations, tasks, iteration)
+
     if cfg.order == ORDER_FIXER_FIRST:
-        _fixer_half(fixer, breaker, tasks, store, cfg, rep_cfg, train_cfg, vocab, iteration, log)
-        new_tasks = _breaker_half(fixer, breaker, entries, store, cfg, rep_cfg, train_cfg, vocab, iteration, log)
+        fixer_half(tasks)
+        new_tasks = breaker_half()
     else:
-        new_tasks = _breaker_half(fixer, breaker, entries, store, cfg, rep_cfg, train_cfg, vocab, iteration, log)
-        # bugs accepted moments ago are legitimate repair prompts already
-        _fixer_half(fixer, breaker, tasks + new_tasks, store, cfg, rep_cfg, train_cfg, vocab, iteration, log)
+        new_tasks = breaker_half()
+        fixer_half(tasks + new_tasks)  # bugs accepted moments ago are legitimate repair prompts already
     log.store_total_after = len(store)
     log.wall_clock_sec = time.time() - started
     return log, new_tasks
@@ -382,12 +399,7 @@ def run_loop(
             err.__notes__ = [*getattr(err, "__notes__", ()), f"in back-translation iteration {iteration}"]
             raise
         assert len(store) >= before, "store must never shrink"
-        known = {(t.name, t.buggy.text, t.fault_span) for t in tasks}
-        for task in new_tasks:
-            key = (task.name, task.buggy.text, task.fault_span)
-            if key not in known:
-                known.add(key)
-                tasks.append(task)
+        tasks.extend(new_tasks)
         logs.append(log)
         if run_dir is not None:
             iter_dir = Path(run_dir) / f"iter{iteration}"

@@ -313,21 +313,14 @@ def cmd_evaluate(args) -> int:
     if not tasks:
         raise DataError("no buggy entries with reference fixes to evaluate")
     rep_cfg = cfg.representation_config()
-    report = evaluate(
-        fixer, tasks, k=cfg.eval_k, rep_cfg=rep_cfg, vocab=vocab, fuel=cfg.fuel,
-        collect_review_texts=True,
-    )
+    report = evaluate(fixer, tasks, k=cfg.eval_k, rep_cfg=rep_cfg, vocab=vocab, fuel=cfg.fuel)
     out_dir = Path(args.out) if args.out else paths["work"] / "eval"
     out_dir.mkdir(parents=True, exist_ok=True)
     review_dir = out_dir / "review"
-    stripped = []
     for item in report.review_queue:
-        if "program" in item:
-            review_dir.mkdir(exist_ok=True)
-            name = f"{item['task']}_rank{item['rank']}.jay".replace("/", "_")
-            (review_dir / name).write_text(item.pop("program"), encoding="utf-8")
-        stripped.append(item)
-    report.review_queue = stripped
+        review_dir.mkdir(exist_ok=True)
+        name = f"{item['task']}_rank{item['rank']}.jay".replace("/", "_")
+        (review_dir / name).write_text(item["program"], encoding="utf-8")
     report.write_json(out_dir / "report.json")
     report.write_csv(out_dir / "report.csv")
     _echo_config(cfg, out_dir, vocab_size=vocab.size)
@@ -357,11 +350,7 @@ def cmd_gen_bugs(args) -> int:
     out_dir = Path(args.out) if args.out else paths["work"] / "bugs"
     out_dir.mkdir(parents=True, exist_ok=True)
     locations_total = 0
-    locations_skipped = 0
-    generated_total = 0
-    accepted_total = 0
-    rejected_compile = 0
-    rejected_tests = 0
+    generations = []
     emitted = []
     for entry in sorted(correct, key=lambda e: e.name):
         locations = enumerate_statement_locations(entry.ast)
@@ -370,11 +359,7 @@ def cmd_gen_bugs(args) -> int:
             breaker, entry.program, entry.name, locations, loop_cfg.k_buggy, critic,
             entry.suite, loop_cfg.fuel, rep_cfg, vocab, cfg.jobs,
         )
-        locations_skipped += generation.skipped
-        generated_total += len(generation.candidates)
-        accepted_total += generation.counts.kept
-        rejected_compile += generation.counts.rejected_compile
-        rejected_tests += generation.counts.rejected_tests
+        generations.append(generation)
         for candidate, verdict in generation.kept:
             stem = f"{len(emitted):05d}_{entry.name}"
             text = candidate.program.text
@@ -394,20 +379,20 @@ def cmd_gen_bugs(args) -> int:
         "critic_family": critic.family,
         "k_buggy": loop_cfg.k_buggy,
         "locations_enumerated": locations_total,
-        "locations_skipped": locations_skipped,
-        "generated": generated_total,
-        "accepted": accepted_total,
-        "rejected_compile": rejected_compile,
-        "rejected_tests": rejected_tests,
+        "locations_skipped": sum(g.skipped for g in generations),
+        "generated": sum(g.counts.generated for g in generations),
+        "accepted": sum(g.counts.kept for g in generations),
+        "rejected_compile": sum(g.counts.rejected_compile for g in generations),
+        "rejected_tests": sum(g.counts.rejected_tests for g in generations),
         "bugs": emitted,
     }
     write_json(out_dir / "bugs_manifest.json", manifest)
     _echo_config(cfg, out_dir, vocab_size=vocab.size)
     print(
         f"gen-bugs[{critic.family}]: {locations_total} locations x K={loop_cfg.k_buggy} -> "
-        f"{generated_total} generated, {accepted_total} certified bugs in {out_dir}"
+        f"{manifest['generated']} generated, {manifest['accepted']} certified bugs in {out_dir}"
     )
-    if accepted_total == 0:
+    if manifest["accepted"] == 0:
         print("warning: zero bugs passed the critic", file=sys.stderr)
     return EXIT_OK
 

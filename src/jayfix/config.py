@@ -113,10 +113,18 @@ class RunConfig:
         overrides.setdefault("max_src_len", rep.max_input_len)
         overrides.setdefault("max_tgt_len", rep.max_target_len)
         if self.model_preset == "tiny":
-            return ModelConfig.tiny(vocab_size=vocab_size, **overrides)
-        if self.model_preset == "desk":
-            return ModelConfig.desk(vocab_size=vocab_size, **overrides)
-        raise ValueError(f"unknown model preset {self.model_preset!r}")
+            model = ModelConfig.tiny(vocab_size=vocab_size, **overrides)
+        elif self.model_preset == "desk":
+            model = ModelConfig.desk(vocab_size=vocab_size, **overrides)
+        else:
+            raise ValueError(f"unknown model preset {self.model_preset!r}")
+        # the decoder reads BOS plus at most max_target_len - 1 target tokens
+        if model.max_src_len < rep.max_input_len or model.max_tgt_len + 1 < rep.max_target_len:
+            raise ValueError(
+                f"model lengths max_src_len {model.max_src_len} / max_tgt_len {model.max_tgt_len} are below "
+                f"the representation's max_input_len {rep.max_input_len} / max_target_len {rep.max_target_len}"
+            )
+        return model
 
     def train_config(self) -> TrainConfig:
         overrides = dict(self.train)

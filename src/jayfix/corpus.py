@@ -192,15 +192,8 @@ class TrainingSample:
         )
 
     def to_json(self) -> dict:
-        return {
-            "direction": self.direction,
-            "input_tokens": list(self.input_tokens),
-            "target_tokens": list(self.target_tokens),
-            "origin": self.origin,
-            "iteration": self.iteration,
-            "source_program": self.source_program,
-            "span": [self.span.start_line, self.span.end_line],
-        }
+        # the fields in order, shallowly: `asdict` would deep-copy every token
+        return {**vars(self), "span": [self.span.start_line, self.span.end_line]}
 
     @staticmethod
     def from_json(raw: dict) -> "TrainingSample":

@@ -175,12 +175,30 @@ class TaskResult:
 class EvalReport:
     k: int
     task_results: list[TaskResult]
-    correct_total: int
-    plausible_total: int
-    candidates_generated: int
-    candidates_compiling: int
-    curve: list[int]  # curve[r-1] = tasks whose first correct rank <= r
+    # plausible-but-not-correct candidates: {"task", "rank", "program"}
     review_queue: list[dict] = field(default_factory=list)
+
+    @property
+    def correct_total(self) -> int:
+        return sum(1 for t in self.task_results if t.first_correct_rank is not None)
+
+    @property
+    def plausible_total(self) -> int:
+        return sum(1 for t in self.task_results if t.first_plausible_rank is not None)
+
+    @property
+    def candidates_generated(self) -> int:
+        return sum(len(t.assessments) for t in self.task_results)
+
+    @property
+    def candidates_compiling(self) -> int:
+        return sum(1 for t in self.task_results for a in t.assessments if a.compiles)
+
+    @property
+    def curve(self) -> list[int]:
+        """curve[r-1] = tasks whose first correct rank <= r"""
+        ranks = [t.first_correct_rank for t in self.task_results if t.first_correct_rank is not None]
+        return [sum(1 for first in ranks if first <= rank) for rank in range(1, self.k + 1)]
 
     @property
     def compilability_percent(self) -> float:
@@ -203,7 +221,7 @@ class EvalReport:
             },
             "curve": self.curve,
             "tasks": [asdict(t) for t in self.task_results],
-            "review_queue": self.review_queue,
+            "review_queue": [{"task": item["task"], "rank": item["rank"]} for item in self.review_queue],
         }
 
     def write_json(self, path: str | Path) -> None:
@@ -224,15 +242,14 @@ def evaluate(
     rep_cfg: RepresentationConfig,
     vocab: Vocabulary,
     fuel: int = DEFAULT_FUEL,
-    collect_review_texts: bool = False,
 ) -> EvalReport:
-    """Run repair + assessment over every task and aggregate totals,
-    the cumulative-correct-by-rank curve, and patch compilability."""
+    """Run repair + assessment over every task. The report derives the
+    totals, the cumulative-correct-by-rank curve and patch compilability
+    from the task results; each plausible-but-not-correct candidate joins
+    the review queue with its program text."""
     if not tasks:
         raise ValueError("no tasks to evaluate")
     task_results: list[TaskResult] = []
-    generated = 0
-    compiling = 0
     review: list[dict] = []
     for task in tasks:
         try:
@@ -240,44 +257,20 @@ def evaluate(
         except RegionTooLong:
             candidates = []
         assessments = assess(candidates, task, fuel=fuel)
-        generated += len(candidates)
-        compiling += sum(1 for a in assessments if a.compiles)
-        first_correct = next((a.rank for a in assessments if a.correct), None)
-        first_plausible = next((a.rank for a in assessments if a.plausible), None)
         for candidate, assessment in zip(candidates, assessments):
             if assessment.plausible and not assessment.correct:
-                entry = {"task": task.name, "rank": assessment.rank}
-                if collect_review_texts:
-                    entry["program"] = candidate.program.text
-                review.append(entry)
+                review.append({"task": task.name, "rank": assessment.rank, "program": candidate.program.text})
         task_results.append(
             TaskResult(
                 task=task.name,
                 assessments=assessments,
-                first_correct_rank=first_correct,
-                first_plausible_rank=first_plausible,
+                first_correct_rank=next((a.rank for a in assessments if a.correct), None),
+                first_plausible_rank=next((a.rank for a in assessments if a.plausible), None),
             )
         )
-    curve = []
-    for rank in range(1, k + 1):
-        curve.append(
-            sum(
-                1
-                for t in task_results
-                if t.first_correct_rank is not None and t.first_correct_rank <= rank
-            )
-        )
-    report = EvalReport(
-        k=k,
-        task_results=task_results,
-        correct_total=sum(1 for t in task_results if t.first_correct_rank is not None),
-        plausible_total=sum(1 for t in task_results if t.first_plausible_rank is not None),
-        candidates_generated=generated,
-        candidates_compiling=compiling,
-        curve=curve,
-        review_queue=review,
-    )
+    report = EvalReport(k=k, task_results=task_results, review_queue=review)
+    curve = report.curve
     assert report.correct_total <= report.plausible_total <= len(task_results)
-    assert all(b >= a for a, b in zip(report.curve, report.curve[1:]))
-    assert (report.curve[-1] if report.curve else 0) == report.correct_total
+    assert all(b >= a for a, b in zip(curve, curve[1:]))
+    assert (curve[-1] if curve else 0) == report.correct_total
     return report

@@ -98,16 +98,15 @@ def _render(stmt, indent: str) -> list[str]:
 def _statement_edit(ctx: RuleContext, new_stmt) -> tuple[Span, list[str]]:
     """The edit that rewrites the targeted statement as `new_stmt`. A
     multi-line if/while changes only its header line, so the bug region
-    stays small, and one that continues an else-if chain keeps its
-    `} else if` header shape; any other statement is rewritten whole."""
+    stays small; any other statement is rewritten whole. An if that
+    continues an else-if chain keeps its `} else if` shape either way."""
     rendered = _render(new_stmt, ctx.indent)
-    if not (isinstance(ctx.stmt, (If, While)) and ctx.span.end_line > ctx.span.start_line):
-        return ctx.span, rendered
-    header = rendered[0]
     original = ctx.program.line(ctx.span.start_line)
-    if original.lstrip(" ").startswith("} else if") and header.lstrip(" ").startswith("if"):
-        header = ctx.indent + "} else " + header.lstrip(" ")
-    return Span(ctx.span.start_line, ctx.span.start_line), [header]
+    if isinstance(ctx.stmt, If) and original.lstrip(" ").startswith("} else if"):
+        rendered[0] = ctx.indent + "} else " + rendered[0].lstrip(" ")
+    if isinstance(ctx.stmt, (If, While)) and ctx.span.end_line > ctx.span.start_line:
+        return Span(ctx.span.start_line, ctx.span.start_line), rendered[:1]
+    return ctx.span, rendered
 
 
 def _calls_in_statement(stmt) -> list[Call]:

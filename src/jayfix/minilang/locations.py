@@ -16,17 +16,16 @@ from .ast import Ast, Span, walk_statements
 
 
 def enumerate_statement_locations(ast: Ast) -> list[Span]:
-    """Spans of every statement inside any function body, source order.
+    """Spans of every statement inside any function body, source order,
+    each span once.
 
     Nested statements are enumerated individually; an if/while statement
     contributes its own (multi-line) span plus one span per inner
-    statement.
+    statement. A one-line compound statement shares its span with the
+    statements inside it, and the span is listed once, for the first.
     """
-    spans: list[Span] = []
-    for fn in ast.functions:
-        for stmt in walk_statements(fn.body):
-            spans.append(stmt.span)
-    return spans
+    spans = (stmt.span for fn in ast.functions for stmt in walk_statements(fn.body))
+    return list(dict.fromkeys(spans))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from jayfix.critics import FAMILY_NONE, POLARITY_BUGGY, POLARITY_CORRECT, Critic
 from jayfix.evaluate import CandidatePatch, assess, propose_regions, tasks_from_corpus
 from jayfix.minilang import DEFAULT_FUEL, enumerate_statement_locations, splice, splice_region
 from jayfix.model import ModelConfig, Seq2SeqModel, TrainConfig, load_checkpoint
-from jayfix.representation import RepresentationConfig, Vocabulary, build_input
+from jayfix.representation import RegionTooLong, RepresentationConfig, Vocabulary, build_input
 
 
 @pytest.fixture(scope="module")
@@ -429,3 +429,63 @@ def test_breaker_half_tasks_are_judged_by_their_base_program(world, tmp_path, mo
         assert task.reference == base.program and task.reference_ast is base.ast
         [verdict] = assess([CandidatePatch(1, 0.0, "", task.reference)], task)
         assert verdict.correct
+
+
+def test_breaker_first_proposes_for_each_repair_task_once_per_iteration(world, tmp_path, monkeypatch):
+    # iteration 2's breaker half finds iteration 1's bugs again; they are
+    # repair tasks already and must not be prompted for a second time
+    entries, vocab, rep_cfg = world
+    subset = small_world(entries, n_correct=1, n_buggy=1)
+    _stub_beam(monkeypatch, lambda region: [region.replace("+", "-") + " +"])
+    monkeypatch.setattr(backtranslate, "_finetune", lambda *args: 0.0)  # bookkeeping only
+    prompts: dict[int, list] = {}
+    iteration = bt_iteration
+
+    def each_iteration(*args, **kwargs):
+        prompts[kwargs["iteration"]] = []
+        return iteration(*args, **kwargs)
+
+    def generate(model, program, base_name, spans, k, critic, *args):
+        if critic.polarity == POLARITY_CORRECT:
+            prompts[max(prompts)].append((base_name, program.text, tuple(spans)))
+        return generate_candidates(model, program, base_name, spans, k, critic, *args)
+
+    monkeypatch.setattr(backtranslate, "bt_iteration", each_iteration)
+    monkeypatch.setattr(backtranslate, "generate_candidates", generate)
+    cfg = LoopConfig(iterations=2, k_correct=1, k_buggy=1, critic_family=FAMILY_NONE, order="breaker-first", seed=44)
+    logs = run_loop(
+        make_model(vocab, rep_cfg, seed=45), make_model(vocab, rep_cfg, seed=46), subset,
+        SampleStore(tmp_path / "store.jsonl"), cfg, rep_cfg, TRAIN_CFG, vocab,
+    )
+    assert sorted(prompts) == [1, 2]
+    for number, prompted in prompts.items():
+        assert len(set(prompted)) == len(prompted), number
+    # iteration 2 prompts for iteration 1's tasks, and its own bugs are no new tasks
+    assert prompts[2] == prompts[1]
+    assert [log.fix_candidates for log in logs] == [len(p) for p in prompts.values()]
+
+
+def test_breaker_prompt_with_no_span_in_budget_logs_no_batch(world, tmp_path, monkeypatch):
+    # every region of one correct program is over the input budget: that
+    # program logs no batch, and each of its spans counts as too long
+    entries, vocab, _ = world
+    rep_cfg = RepresentationConfig(context_lines=2, max_input_len=512, max_target_len=128)
+    subset = small_world(entries, n_correct=2, n_buggy=0)
+    too_long, fits = [e for e in subset if e.status == "correct"]
+
+    def propose(model, program, span, k, rep_cfg, vocab):
+        if program.name == too_long.name:
+            raise RegionTooLong(f"region {span} does not fit")
+        return [("    return 0;", 0.0)]
+
+    monkeypatch.setattr(backtranslate, "propose_regions", propose)
+    monkeypatch.setattr(backtranslate, "_finetune", lambda *args: 0.0)  # bookkeeping only
+    cfg = LoopConfig(iterations=1, k_correct=1, k_buggy=1, critic_family=FAMILY_NONE, seed=47)
+    log, new_tasks = bt_iteration(
+        make_model(vocab, rep_cfg, seed=48), make_model(vocab, rep_cfg, seed=49), subset,
+        [], SampleStore(tmp_path / "store.jsonl"), cfg, rep_cfg, TRAIN_CFG, vocab, iteration=1,
+    )
+    assert [(batch.phase, batch.base_name) for batch in log.batches] == [("bug_candidates", fits.name)]
+    assert log.rejected_length == len(enumerate_statement_locations(too_long.ast))
+    assert log.bug_candidates == log.bug_kept == len(enumerate_statement_locations(fits.ast))
+    assert {task.name for task in new_tasks} == {fits.name}

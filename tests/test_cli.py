@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from jayfix import backtranslate, cli
+from jayfix import evaluate as evaluate_module
 from jayfix.cli import EXIT_DATA, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, main
 from jayfix.evaluate import CandidatePatch
 from jayfix.minilang import SourceProgram
@@ -197,7 +198,13 @@ def test_unknown_config_key_is_usage_error(tmp_path, request, capsys, extra):
 
 @pytest.mark.parametrize(
     "section, override",
-    [("train", {"batch_size": 0}), ("loop", {"order": "sideways"}), ("loop", {"critic_family": "bogus"})],
+    [
+        ("train", {"batch_size": 0}),
+        ("loop", {"order": "sideways"}),
+        ("loop", {"critic_family": "bogus"}),
+        ("model", {"max_src_len": 64}),  # below representation.max_input_len 128
+        ("model", {"max_tgt_len": 30}),  # BOS + 31 target tokens need 31
+    ],
 )
 def test_invalid_config_value_fails_before_any_output(tmp_path, request, section, override):
     config = {**MICRO_CONFIG, section: {**MICRO_CONFIG[section], **override}}
@@ -294,6 +301,28 @@ def test_repair_without_tests_is_never_plausible(workspace, tmp_path, monkeypatc
     shutil.copy(corpus / "gcd_buggy.jay", tmp_path / "gcd_buggy.jay")
     assert main(["repair", str(tmp_path / "gcd_buggy.jay"), *argv, "--out", str(tmp_path / "b")]) == EXIT_OK
     assert "[compiles] 'fixed'" in capsys.readouterr().out
+
+
+def test_evaluate_writes_each_review_candidate(workspace, tmp_path, monkeypatch):
+    # a plausible patch that is not the reference fix goes to review/
+    root, config_path = workspace
+    corpus = Path(json.loads(Path(config_path).read_text())["corpus_dir"])
+    buggy = (corpus / "gcd_buggy.jay").read_text()
+    patch = buggy.replace("b = a + b;", "b = a - a / b * b;")
+    assert patch != buggy
+
+    def plausible_patch(fixer, task, k, rep_cfg, vocab):
+        if task.name != "gcd_buggy":
+            return []
+        return [CandidatePatch(rank=1, log_prob=-0.5, region_text="variant", program=SourceProgram("p", patch))]
+
+    monkeypatch.setattr(evaluate_module, "repair", plausible_patch)
+    out_dir = tmp_path / "eval"
+    assert main(["evaluate", "--config", str(config_path), "--out", str(out_dir)]) == EXIT_OK
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["review_queue"] == [{"task": "gcd_buggy", "rank": 1}]
+    assert [p.name for p in (out_dir / "review").iterdir()] == ["gcd_buggy_rank1.jay"]
+    assert (out_dir / "review" / "gcd_buggy_rank1.jay").read_text() == patch
 
 
 def _documented(title: str) -> dict:

@@ -95,3 +95,22 @@ def test_representation_validation():
         RepresentationConfig(context_lines=-1)
     with pytest.raises(ValueError):
         RepresentationConfig(max_input_len=4)
+
+
+@pytest.mark.parametrize("model, ok", [
+    ({}, True),
+    ({"max_src_len": 128, "max_tgt_len": 31}, True),  # BOS + 31 target tokens fit max_tgt_len + 1
+    ({"max_src_len": 127}, False),
+    ({"max_tgt_len": 30}, False),
+])
+def test_model_lengths_cover_the_representation(model, ok):
+    cfg = RunConfig.from_json({
+        "model_preset": "tiny", "model": model,
+        "representation": {"max_input_len": 128, "max_target_len": 32},
+    })
+    if ok:
+        resolved = cfg.model_config(vocab_size=380)
+        assert resolved.max_src_len >= 128 and resolved.max_tgt_len + 1 >= 32
+    else:
+        with pytest.raises(ValueError, match="below the representation"):
+            cfg.model_config(vocab_size=380)

@@ -194,6 +194,17 @@ def test_rank_two_fix_shifts_the_curve(tasks, monkeypatch, vocab, rep_cfg):
     assert report.compilability_percent == 50.0
 
 
+def test_plausible_but_not_correct_patch_joins_the_review_queue(tasks, monkeypatch, vocab, rep_cfg):
+    task = next(t for t in tasks if t.name == "gcd_buggy")
+    variant = "        b = a - a / b * b;"  # passes the tests, differs from the reference
+    module = _scripted_repair(monkeypatch, {task.name: ["fn broken(", variant]})
+    report = module.evaluate(None, [task], k=2, rep_cfg=rep_cfg, vocab=vocab)
+    assert (report.plausible_total, report.correct_total) == (1, 0)
+    [item] = report.review_queue
+    assert item == {"task": task.name, "rank": 2, "program": splice(task.buggy.text, task.fault_span, [variant])}
+    assert report.to_json()["review_queue"] == [{"task": task.name, "rank": 2}]
+
+
 def test_random_weights_fixer_smoke(tasks, vocab, rep_cfg):
     fixer = Seq2SeqModel(
         ModelConfig(

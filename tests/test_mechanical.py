@@ -232,3 +232,34 @@ def test_expression_rules_on_a_one_line_while_rewrite_it_whole():
             assert bug is not None, (rule_id, seed)  # None: the mutant did not parse
             parse(bug.mutant)
             assert bug.base_region == span
+
+
+ONE_LINE_ELSE_IF = """\
+fn f(a: int, b: int) -> int {
+    if (a < b) {
+        return a;
+    } else if (a > b) { return b; }
+    return 0;
+}
+"""
+
+
+def test_one_line_compound_statement_is_listed_once():
+    # the nested `if` and the `return` inside it share line 4
+    _, ast = _prepared(ONE_LINE_ELSE_IF)
+    assert enumerate_statement_locations(ast) == [Span(2, 4), Span(3, 3), Span(4, 4), Span(5, 5)]
+    _, ast = _prepared(ONE_LINE_WHILE)
+    locations = enumerate_statement_locations(ast)
+    assert locations.count(Span(12, 12)) == 1 and len(locations) == len(set(locations))
+
+
+def test_expression_rules_on_a_one_line_else_if_keep_its_else():
+    program, ast = _prepared(ONE_LINE_ELSE_IF)
+    span = Span(4, 4)
+    for rule_id in ("replace-binary-operator", "negate-condition", "replace-variable"):
+        bug = apply_rule(ast, program, span, rule_by_id(rule_id), seed=0)
+        assert bug is not None, rule_id  # None: the mutant did not parse
+        parse(bug.mutant)
+        assert bug.base_region == span
+        assert bug.mutant_region_lines[0].startswith("    } else if (")
+        assert bug.mutant.text.split("\n")[:3] == program.text.split("\n")[:3]

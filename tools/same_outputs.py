@@ -21,12 +21,19 @@ echo is therefore the same on both sides. For each config the matrix is:
 - for each critic `none|compiler|tests` and each `loop.order`
   `fixer-first|breaker-first`, on a fresh copy of that work directory:
   `backtranslate`, then `evaluate --model runs/*/iter1/fixer.ckpt`;
+- `backtranslate --critic none --iterations 2` under `fixer-first`, on
+  a fresh copy, so that the repair tasks merged after iteration 1 are
+  compared too;
 - `gen-bugs --critic C` for each critic, at the config's K_buggy and
   with `--beam 3`;
 - `repair corpus/gcd_buggy.jay --span 4:4 --beam 10 --reference corpus/gcd.jay`;
 - the same `repair` of a copy of `gcd_buggy.jay` that has no
   `.tests.json` beside it, once with that `--reference` and once
-  without, so a task with no suite, and one with neither judge.
+  without, so a task with no suite, and one with neither judge;
+- `repair` of a correct program against itself at `--beam 10`:
+  `corpus/array_sum.jay --span 3:3` and `corpus/gcd.jay --span 6:6`,
+  each with itself as `--reference`, so that `plausible` and `correct`
+  verdicts are compared too.
 
 The stdout of every command is kept under `stdout/`, and each `log.json`
 is written again without its `wall_clock_sec`, the one field that reads
@@ -125,6 +132,13 @@ class Side:
                 (fixer,) = glob.glob(str(run / "work" / "runs" / "*" / "iter1" / "fixer.ckpt"))
                 self.jayfix(f"{tag}-evaluate", "evaluate", "--config", run_config,
                             "--model", fixer, "--out", str(run / "eval"))
+        run = base / "bt-none-fixer-first-2iter"
+        shutil.copytree(base / "work", run / "work")
+        run_config = write_config(run / "config.json", {
+            **config, "work_dir": str(run / "work"), "loop": {**config["loop"], "order": "fixer-first"},
+        })
+        self.jayfix(f"{name}-bt-none-fixer-first-2iter", "backtranslate", "--config", run_config,
+                    "--critic", "none", "--iterations", "2")
         for critic in CRITICS:
             self.jayfix(f"{name}-gen-bugs-{critic}", "gen-bugs", "--config", base_config,
                         "--critic", critic, "--out", str(base / f"bugs-{critic}"))
@@ -140,6 +154,10 @@ class Side:
             self.jayfix(f"{name}-repair-no-suite-{tag}", "repair", "--config", base_config, str(lone),
                         "--span", "4:4", "--beam", "10", *reference,
                         "--out", str(base / f"repair-no-suite-{tag}"))
+        for program, span in (("array_sum", "3:3"), ("gcd", "6:6")):
+            self.jayfix(f"{name}-repair-{program}-itself", "repair", "--config", base_config,
+                        f"corpus/{program}.jay", "--span", span, "--beam", "10",
+                        "--reference", f"corpus/{program}.jay", "--out", str(base / f"repair-{program}-itself"))
 
 
 def strip_wall_clock(out: Path) -> None:
