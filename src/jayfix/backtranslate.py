@@ -18,8 +18,8 @@ The default order runs the fixer half first; `order="breaker-first"`
 swaps the halves, in which case bugs accepted by the breaker half feed
 the fixer half of the same iteration. Fine-tuning always warm-starts
 from the current weights and uses the whole store for its direction,
-so later iterations see strictly more data. A half whose critic accepts
-nothing skips its fine-tune and is logged.
+so later iterations see strictly more data. A half that adds no sample
+to the store skips its fine-tune and is logged.
 
 Both halves, and `jayfix gen-bugs`, generate through one path:
 `generate_candidates` proposes, splices and judges one program's
@@ -259,12 +259,12 @@ def _half(
     """One half-round: `model` proposes for every prompt (base name,
     program, spans, suite), the critic of `polarity` judges, the kept
     candidates go to the store as samples for `other`, and `other` is
-    fine-tuned when anything was kept. The fixer half has the correct-code
-    polarity, the breaker half the buggy-code one. A prompt none of whose
-    spans fit the length budget logs no batch; its spans count in
-    `rejected_length`. Returns each prompt's generation, the number of
-    samples new to the store, and `other`'s validation loss, None when it
-    was not fine-tuned."""
+    fine-tuned when the store gained a sample. The fixer half has the
+    correct-code polarity, the breaker half the buggy-code one. A prompt
+    none of whose spans fit the length budget logs no batch; its spans
+    count in `rejected_length`. Returns each prompt's generation, the
+    number of samples new to the store, and `other`'s validation loss,
+    None when it was not fine-tuned."""
     fixing = polarity == POLARITY_CORRECT
     critic = CriticKind(cfg.critic_family, polarity)
     phase, direction = ("fix_candidates", DIRECTION_BREAK) if fixing else ("bug_candidates", DIRECTION_FIX)
@@ -281,9 +281,7 @@ def _half(
         else:
             batch += _log_batch(log, phase, name, generation, iteration, rep_cfg, vocab)
     appended = store.append(batch)
-    val_loss = None
-    if any(generation.kept for generation in generations):
-        val_loss = _finetune(other, direction, store, cfg, train_cfg, iteration)
+    val_loss = _finetune(other, direction, store, cfg, train_cfg, iteration) if appended else None
     return generations, appended, val_loss
 
 

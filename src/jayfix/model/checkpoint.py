@@ -1,8 +1,10 @@
 """Checkpoint container: a numpy .npz archive with named parameter
 arrays plus a JSON metadata entry (format version, model config echo,
 training-step counter). See docs/checkpoint.md for the byte layout.
-Round-tripping a model through save/load reproduces its outputs
-bit-for-bit on the same platform.
+Parameters are stored in the dtype the model computes in, `tape.DTYPE`;
+loading casts them to it once, so an older float64 checkpoint still
+loads. Round-tripping a model through save/load reproduces its outputs
+bit-for-bit on the same platform and dtype.
 """
 
 from __future__ import annotations

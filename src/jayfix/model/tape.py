@@ -3,8 +3,12 @@
 Just enough machinery for an encoder-decoder transformer: broadcasted
 add/mul, batched matmul, relu, embedding gather, fused layer-norm,
 fused softmax, masked token cross-entropy, reshape/transpose, and
-inverted dropout. Everything runs in float64 so finite-difference
-gradient checks have headroom.
+inverted dropout. Everything computes in one dtype, `DTYPE` (float32):
+every Tensor's data is cast to it, and every array an op mixes into its
+output (masks, dropout keep masks, constants) is built in it, so no op
+upcasts. Results are deterministic per dtype. Finite-difference
+gradient checks need float64's headroom; they switch `DTYPE` before
+building a model.
 
 Graphs are built eagerly; ``backward(loss)`` walks the tape in reverse
 topological order. Wrap inference in ``no_grad()`` to skip bookkeeping.
@@ -17,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-DTYPE = np.float64
+DTYPE = np.float32
 
 _grad_enabled = True
 
@@ -214,7 +218,7 @@ def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator], train: bool
     if not train or p <= 0.0:
         return x
     assert rng is not None
-    keep = (rng.random(x.data.shape) >= p) / (1.0 - p)
+    keep = (rng.random(x.data.shape) >= p).astype(DTYPE) / (1.0 - p)
     out_data = x.data * keep
 
     def backward(grad: np.ndarray) -> None:
@@ -238,7 +242,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tens
     log_probs = shifted - log_z
     picked = np.take_along_axis(log_probs, targets[..., None], axis=-1)[..., 0]
     if count == 0:
-        out_data = np.asarray(0.0)
+        out_data = np.zeros((), dtype=DTYPE)
     else:
         out_data = -(picked * mask).sum() / count
 

@@ -77,7 +77,8 @@ def make_batch(samples: Sequence[TrainingSample]) -> tuple[np.ndarray, np.ndarra
 
 class AdamW:
     """Adam with decoupled weight decay. Decay applies to matrices
-    (ndim >= 2); gains and biases are exempt."""
+    (ndim >= 2); gains and biases are exempt. The moments have the
+    parameters' dtype."""
 
     def __init__(self, model: Seq2SeqModel, cfg: TrainConfig):
         self.model = model

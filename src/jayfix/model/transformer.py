@@ -66,6 +66,8 @@ class Seq2SeqModel:
     # --- parameters ---
 
     def _param(self, name: str, array: np.ndarray) -> None:
+        # drawn in float64 and cast once to tape.DTYPE, so the initial
+        # parameters are a function of the seed and the dtype alone
         self.params[name] = Tensor(array, requires_grad=True)
 
     def _init_params(self, rng: np.random.Generator) -> None:
@@ -235,7 +237,7 @@ class Seq2SeqModel:
             tape.embedding(self.params["dec.pos_emb"], positions),
         )
         y = tape.dropout(y, c.dropout, rng, train)
-        causal = np.triu(np.full((t, t), NEG_INF), k=1)[None, None, :, :]
+        causal = np.triu(np.full((t, t), NEG_INF, dtype=tape.DTYPE), k=1)[None, None, :, :]
         self_mask = causal + self.pad_mask(tgt_in_ids)
         cross_mask = self.pad_mask(src_ids)
         for i in range(c.n_decoder_layers):
@@ -303,7 +305,7 @@ class Seq2SeqModel:
     @staticmethod
     def pad_mask(ids: np.ndarray) -> np.ndarray:
         """(B, 1, 1, L) additive mask hiding PAD positions."""
-        return np.where(ids[:, None, None, :] == PAD, NEG_INF, 0.0)
+        return np.where(ids[:, None, None, :] == PAD, tape.DTYPE(NEG_INF), tape.DTYPE(0.0))
 
     # --- convenience surfaces ---
 
@@ -349,10 +351,10 @@ class BeamScorer:
         # the cache: a row per prefix of the last call, over BOS and that
         # prefix; before the first call, one empty row that BOS extends
         c = model.config
-        empty = np.zeros((0, 1, c.n_heads, c.d_model // c.n_heads))
+        empty = np.zeros((0, 1, c.n_heads, c.d_model // c.n_heads), dtype=tape.DTYPE)
         self._rows: dict[tuple[int, ...], int] = {(): 0}
         self._cache: list[tuple[np.ndarray, np.ndarray]] = [(empty, empty)] * c.n_decoder_layers
-        self._self_mask = np.zeros((1, 1, 1, 0))
+        self._self_mask = np.zeros((1, 1, 1, 0), dtype=tape.DTYPE)
 
     @property
     def vocab_size(self) -> int:
@@ -378,13 +380,12 @@ class BeamScorer:
         for layer in self._cache:
             grown = []
             for old in layer:
-                new = np.empty((length + 1, len(tokens)) + old.shape[2:])
+                new = np.empty((length + 1, len(tokens)) + old.shape[2:], dtype=old.dtype)
                 # mode="clip" lets take write straight into the slice; parents are in range
                 np.take(old, parents, axis=1, out=new[:length], mode="clip")
                 grown.append(new)
             cache.append(tuple(grown))
-        pad = np.where(tokens == PAD, NEG_INF, 0.0)[:, None, None, None]
-        self_mask = np.concatenate([self._self_mask[parents], pad], axis=3)
+        self_mask = np.concatenate([self._self_mask[parents], self.model.pad_mask(tokens[:, None])], axis=3)
         with tape.no_grad():
             logits = self.model.decode_step(tokens, cache, self_mask, self._cross_kv, self._cross_mask)
         self._cache, self._self_mask = cache, self_mask

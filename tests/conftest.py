@@ -3,10 +3,12 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
 from jayfix.corpus import load_corpus
+from jayfix.model import tape
 from jayfix.representation import RepresentationConfig, Vocabulary
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -17,6 +19,15 @@ CORPUS_DIR = REPO_ROOT / "corpus"
 # run never replays examples that an earlier run stored.
 settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
 settings.load_profile("deterministic")
+
+
+@pytest.fixture
+def float64(monkeypatch):
+    """Compute in float64 for one test. jayfix computes in float32; the
+    finite-difference gradient checks and the differential tests against
+    full recompute keep their tolerances, which need float64. Build the
+    models inside the test, after this fixture has run."""
+    monkeypatch.setattr(tape, "DTYPE", np.float64)
 
 
 @pytest.fixture(scope="session")

@@ -353,6 +353,7 @@ def test_criterion_05_beam_correctness():
 # --- criterion 6 ----------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("float64")
 def test_criterion_06_gradient_check():
     started = time.time()
     results = [grad_check(seed=seed) for seed in (0, 7)]

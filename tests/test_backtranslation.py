@@ -359,6 +359,34 @@ def test_single_kept_candidate_skips_the_finetune(world, tmp_path, monkeypatch):
     assert (log.breaker_finetuned, log.breaker_val_loss) == (False, None)
 
 
+def test_kept_duplicates_of_store_samples_skip_the_finetune(world, tmp_path, monkeypatch):
+    # the same iteration twice on one store: the second keeps the same
+    # candidates, which give samples the store already holds, so neither
+    # model is trained again on an unchanged store
+    entries, vocab, rep_cfg = world
+    subset = small_world(entries, n_correct=1, n_buggy=1)
+    _stub_beam(monkeypatch, lambda region: [region + " +"])
+    finetuned = []
+    monkeypatch.setattr(backtranslate, "_finetune", lambda model, direction, *args: finetuned.append(direction) or 0.0)
+    cfg = LoopConfig(
+        iterations=1, k_correct=1, k_buggy=1, critic_family=FAMILY_NONE, max_locations_per_program=3, seed=44
+    )
+    store = SampleStore(tmp_path / "store.jsonl")
+    fixer, breaker = make_model(vocab, rep_cfg, seed=45), make_model(vocab, rep_cfg, seed=46)
+    first, second = (
+        bt_iteration(fixer, breaker, subset, tasks_from_corpus(subset), store, cfg, rep_cfg, TRAIN_CFG, vocab,
+                     iteration=1)[0]
+        for _ in range(2)
+    )
+    assert first.break_samples_appended > 0 and first.fix_samples_appended > 0
+    assert (first.breaker_finetuned, first.fixer_finetuned) == (True, True)
+    assert (second.fix_kept, second.bug_kept) == (first.fix_kept, first.bug_kept)
+    assert (second.break_samples_appended, second.fix_samples_appended) == (0, 0)
+    assert (second.breaker_finetuned, second.breaker_val_loss) == (False, None)
+    assert (second.fixer_finetuned, second.fixer_val_loss) == (False, None)
+    assert finetuned == ["break", "fix"]
+
+
 def test_every_backtranslated_sample_inverts_its_edit(world, tmp_path, monkeypatch):
     # kept fixes become break samples and kept bugs fix samples; either
     # way, splicing the sample's target at its span into the candidate

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from gradcheck import grad_check, micro_config
 from jayfix.corpus import DIRECTION_FIX, TrainingSample
 from jayfix.minilang import Span
 from jayfix.model import (
+    AdamW,
     BeamScorer,
     ModelConfig,
     Seq2SeqModel,
@@ -14,6 +17,7 @@ from jayfix.model import (
     TrainingDiverged,
     load_checkpoint,
     save_checkpoint,
+    tape,
     train,
 )
 from jayfix.model.training import make_batch
@@ -98,6 +102,7 @@ def test_config_validation():
 # --- gradients -------------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("float64")
 def test_grad_check_two_seeds():
     for seed in (0, 7):
         result = grad_check(seed=seed)
@@ -108,8 +113,6 @@ def test_grad_check_two_seeds():
 
 
 def test_empty_target_loss_is_zero_with_zero_grads():
-    from jayfix.model import tape
-
     model = Seq2SeqModel(micro_config())
     src = np.array([[6, 7, 8]])
     tgt_in = np.array([[BOS]])
@@ -120,6 +123,43 @@ def test_empty_target_loss_is_zero_with_zero_grads():
     tape.backward(loss)
     for param in model.params.values():
         assert param.grad is None or not np.any(param.grad)
+
+
+def test_training_and_decoding_stay_in_float32(monkeypatch):
+    # Tensor casts every op's output to float32, so an op that mixes in a
+    # float64 array (a mask, a dropout keep mask) computes in float64 and
+    # hides it; record each op's output and each gradient before any cast
+    produced = set()
+    make, accumulate = tape._make, tape.Tensor.accumulate
+
+    def recording_make(data, parents, backward):
+        produced.add(data.dtype)
+        return make(data, parents, backward)
+
+    def recording_accumulate(tensor, grad):
+        produced.add(grad.dtype)
+        accumulate(tensor, grad)
+
+    monkeypatch.setattr(tape, "_make", recording_make)
+    monkeypatch.setattr(tape.Tensor, "accumulate", recording_accumulate)
+    model = Seq2SeqModel(dataclasses.replace(tiny_model().config, dropout=0.1))
+    optimizer = AdamW(model, TrainConfig())
+    src, tgt_in, tgt_out = make_batch(make_samples(2, width=10) + make_samples(2, seed=1, width=6))
+    tape.backward(model.loss(src, tgt_in, tgt_out, train=True, rng=np.random.default_rng(0)))
+    optimizer.step()
+    scorer = BeamScorer(model, [10, 11, 12, PAD])
+    logprobs = scorer.step_logprobs([[]])
+    arrays = {"pad mask": Seq2SeqModel.pad_mask(src), "log-probs": logprobs,
+              "self mask": scorer._self_mask, "cross mask": scorer._cross_mask}
+    for name, param in model.params.items():
+        assert param.grad is not None, name
+        arrays.update({name: param.data, f"{name} grad": param.grad,
+                       f"{name} m": optimizer.m[name], f"{name} v": optimizer.v[name]})
+    for i, ((keys, values), (cross_k, cross_v)) in enumerate(zip(scorer._cache, scorer._cross_kv)):
+        arrays.update({f"layer {i} keys": keys, f"layer {i} values": values,
+                       f"layer {i} cross keys": cross_k.data, f"layer {i} cross values": cross_v.data})
+    assert {name: a.dtype for name, a in arrays.items() if a.dtype != np.float32} == {}
+    assert produced == {np.dtype(np.float32)}
 
 
 # --- training --------------------------------------------------------------------
@@ -206,6 +246,27 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     a = next_token_distribution(model, [10, 11, 12], [13])
     b = next_token_distribution(loaded, [10, 11, 12], [13])
     assert np.array_equal(a, b)
+
+
+def test_float64_checkpoint_loads_cast_once(tmp_path, monkeypatch):
+    # as written before jayfix computed in float32: same format, float64 arrays
+    with monkeypatch.context() as patch:
+        patch.setattr(tape, "DTYPE", np.float64)
+        save_checkpoint(tiny_model(seed=22), tmp_path / "old.ckpt")
+    with np.load(tmp_path / "old.ckpt") as archive:
+        stored = {key[len("param/"):]: archive[key] for key in archive.files if key.startswith("param/")}
+    assert {array.dtype for array in stored.values()} == {np.dtype(np.float64)}
+    loaded = load_checkpoint(tmp_path / "old.ckpt")
+    cast = Seq2SeqModel(loaded.config)
+    cast.load_state_arrays({name: array.astype(np.float32) for name, array in stored.items()})
+    for name, array in stored.items():
+        assert loaded.params[name].data.dtype == np.float32
+        assert np.array_equal(loaded.params[name].data, array.astype(np.float32)), name
+    src, tgt_in, _ = make_batch(make_samples(3, seed=5))
+    with tape.no_grad():
+        logits = loaded.forward_logits(src, tgt_in).data
+        assert logits.dtype == np.float32
+        assert np.array_equal(logits, cast.forward_logits(src, tgt_in).data)
 
 
 def test_checkpoint_rejects_wrong_files(tmp_path):
