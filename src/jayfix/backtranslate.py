@@ -22,8 +22,8 @@ so later iterations see strictly more data. A half that adds no sample
 to the store skips its fine-tune and is logged.
 
 Both halves, and `jayfix gen-bugs`, generate through one path:
-`generate_candidates` proposes, splices and judges one program's
-candidates.
+`generate_candidates` proposes for all of its prompts in one beam
+search, then splices and judges each program's candidates.
 """
 
 from __future__ import annotations
@@ -150,40 +150,47 @@ class Generation:
     skipped: int  # spans whose input did not fit the length budget
 
 
+# a program to propose for: (base name, program, spans, suite of its base program)
+Prompt = tuple[str, SourceProgram, list[Span], Optional[TestSuite]]
+
+
 def generate_candidates(
     model: Seq2SeqModel,
-    program: SourceProgram,
-    base_name: str,
-    spans: list[Span],
+    prompts: list[Prompt],
     k: int,
     critic: CriticKind,
-    suite: TestSuite,
     fuel: int,
     rep_cfg: RepresentationConfig,
     vocab: Vocabulary,
     jobs: int = 1,
-) -> Generation:
-    """Propose k replacements per span, splice each into the program and
-    judge the batch against the suite of its base program. Under the
-    correct-code critic a proposal that leaves the program unchanged is
-    dropped before judging: a no-op fix is not a fix."""
+) -> list[Generation]:
+    """Propose k replacements per span of every prompt, all in one beam
+    search, splice each into its program and judge each prompt's batch
+    against its suite; one generation per prompt. Under the correct-code
+    critic a proposal that leaves the program unchanged is dropped before
+    judging: a no-op fix is not a fix."""
     fixing = critic.polarity == POLARITY_CORRECT
-    name = f"{base_name}+fix" if fixing else f"{base_name}+bug"
-    candidates: list[Candidate] = []
-    skipped = 0
-    for span in spans:
-        try:
-            proposals = propose_regions(model, program, span, k, rep_cfg, vocab)
-        except RegionTooLong:
-            skipped += 1
-            continue
-        for text, _score in proposals:
-            result = splice_region(program.text, span, text.split("\n"))
-            if fixing and result.mutant_text == program.text:
+    proposals = iter(propose_regions(
+        model, [(program, span) for _, program, spans, _ in prompts for span in spans], k, rep_cfg, vocab
+    ))
+    generations = []
+    for base_name, program, spans, suite in prompts:
+        name = f"{base_name}+fix" if fixing else f"{base_name}+bug"
+        candidates: list[Candidate] = []
+        skipped = 0
+        for span in spans:
+            proposed = next(proposals)
+            if isinstance(proposed, RegionTooLong):
+                skipped += 1
                 continue
-            candidates.append(Candidate(SourceProgram(name, result.mutant_text), span, result))
-    kept, counts = filter_candidates(critic, [(c.program, c) for c in candidates], suite, fuel, jobs=jobs)
-    return Generation(candidates, [(c, verdict) for _, c, verdict in kept], counts, skipped)
+            for text, _score in proposed:
+                result = splice_region(program.text, span, text.split("\n"))
+                if fixing and result.mutant_text == program.text:
+                    continue
+                candidates.append(Candidate(SourceProgram(name, result.mutant_text), span, result))
+        kept, counts = filter_candidates(critic, [(c.program, c) for c in candidates], suite, fuel, jobs=jobs)
+        generations.append(Generation(candidates, [(c, verdict) for _, c, verdict in kept], counts, skipped))
+    return generations
 
 
 def _finetune(
@@ -246,7 +253,7 @@ def _log_batch(
 def _half(
     model: Seq2SeqModel,
     other: Seq2SeqModel,
-    prompts: list[tuple[str, SourceProgram, list[Span], Optional[TestSuite]]],
+    prompts: list[Prompt],
     polarity: str,
     store: SampleStore,
     cfg: LoopConfig,
@@ -256,8 +263,8 @@ def _half(
     iteration: int,
     log: IterationLog,
 ) -> tuple[list[Generation], int, Optional[float]]:
-    """One half-round: `model` proposes for every prompt (base name,
-    program, spans, suite), the critic of `polarity` judges, the kept
+    """One half-round: `model` proposes for every prompt in one
+    `generate_candidates` call, the critic of `polarity` judges, the kept
     candidates go to the store as samples for `other`, and `other` is
     fine-tuned when the store gained a sample. The fixer half has the
     correct-code polarity, the breaker half the buggy-code one. A prompt
@@ -268,14 +275,11 @@ def _half(
     fixing = polarity == POLARITY_CORRECT
     critic = CriticKind(cfg.critic_family, polarity)
     phase, direction = ("fix_candidates", DIRECTION_BREAK) if fixing else ("bug_candidates", DIRECTION_FIX)
-    generations: list[Generation] = []
+    generations = generate_candidates(
+        model, prompts, cfg.k_correct if fixing else cfg.k_buggy, critic, cfg.fuel, rep_cfg, vocab, cfg.jobs
+    )
     batch: list[TrainingSample] = []
-    for name, program, spans, suite in prompts:
-        generation = generate_candidates(
-            model, program, name, spans, cfg.k_correct if fixing else cfg.k_buggy, critic,
-            suite, cfg.fuel, rep_cfg, vocab, cfg.jobs,
-        )
-        generations.append(generation)
+    for (name, _program, spans, _suite), generation in zip(prompts, generations):
         if generation.skipped == len(spans):  # nothing was proposed: no batch to log
             log.rejected_length += generation.skipped
         else:

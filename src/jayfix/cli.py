@@ -282,10 +282,9 @@ def cmd_repair(args) -> int:
         if reference_ast is None or diags:
             raise DataError("reference program does not compile")
     task = RepairTask(program.name, program, span, suite=suite, reference=reference, reference_ast=reference_ast)
-    try:
-        candidates = repair(fixer, task, k=cfg.eval_k, rep_cfg=cfg.representation_config(), vocab=vocab)
-    except RegionTooLong as err:
-        raise DataError(str(err)) from err
+    [candidates] = repair(fixer, [task], k=cfg.eval_k, rep_cfg=cfg.representation_config(), vocab=vocab)
+    if isinstance(candidates, RegionTooLong):
+        raise DataError(str(candidates)) from candidates
     out_dir = Path(args.out) if args.out else Path("patches")
     out_dir.mkdir(parents=True, exist_ok=True)
     for candidate, assessment in zip(candidates, assess(candidates, task, fuel=cfg.fuel)):
@@ -341,7 +340,7 @@ def cmd_gen_bugs(args) -> int:
     model_path = Path(args.model) if args.model else paths["init"] / "breaker.ckpt"
     breaker = _load_model(model_path, vocab)
     entries = _load_entries(cfg)
-    correct = correct_entries(entries)
+    correct = sorted(correct_entries(entries), key=lambda e: e.name)
     if not correct:
         raise DataError("corpus has no correct entries")
     loop_cfg = cfg.loop_config()
@@ -349,17 +348,13 @@ def cmd_gen_bugs(args) -> int:
     critic = CriticKind(loop_cfg.critic_family, POLARITY_BUGGY)
     out_dir = Path(args.out) if args.out else paths["work"] / "bugs"
     out_dir.mkdir(parents=True, exist_ok=True)
-    locations_total = 0
-    generations = []
+    prompts = [(e.name, e.program, enumerate_statement_locations(e.ast), e.suite) for e in correct]
+    locations_total = sum(len(spans) for _, _, spans, _ in prompts)
+    generations = generate_candidates(
+        breaker, prompts, loop_cfg.k_buggy, critic, loop_cfg.fuel, rep_cfg, vocab, cfg.jobs
+    )
     emitted = []
-    for entry in sorted(correct, key=lambda e: e.name):
-        locations = enumerate_statement_locations(entry.ast)
-        locations_total += len(locations)
-        generation = generate_candidates(
-            breaker, entry.program, entry.name, locations, loop_cfg.k_buggy, critic,
-            entry.suite, loop_cfg.fuel, rep_cfg, vocab, cfg.jobs,
-        )
-        generations.append(generation)
+    for entry, generation in zip(correct, generations):
         for candidate, verdict in generation.kept:
             stem = f"{len(emitted):05d}_{entry.name}"
             text = candidate.program.text

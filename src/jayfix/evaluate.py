@@ -100,44 +100,60 @@ class PatchAssessment:
 
 def propose_regions(
     model: Seq2SeqModel,
-    program: SourceProgram,
-    region: Span,
+    requests: Sequence[tuple[SourceProgram, Span]],
     k: int,
     rep_cfg: RepresentationConfig,
     vocab: Vocabulary,
-) -> list[tuple[str, float]]:
-    """Beam-decode k replacement texts for one marked region."""
-    input_tokens = build_input(program, region, rep_cfg, vocab)
-    scorer = BeamScorer(model, input_tokens)
-    candidates = beam_search(scorer, k=k, max_len=model.config.max_tgt_len)
-    return [(vocab.decode(list(c.content_tokens)), c.log_prob) for c in candidates]
+) -> list[list[tuple[str, float]] | RegionTooLong]:
+    """Beam-decode k replacement texts for each (program, marked region)
+    request, every request in one search. A request whose input does not
+    fit the length budget gets its RegionTooLong instead."""
+    inputs: list[list[int] | RegionTooLong] = []
+    for program, region in requests:
+        try:
+            inputs.append(build_input(program, region, rep_cfg, vocab))
+        except RegionTooLong as err:
+            inputs.append(err)
+    sources = [tokens for tokens in inputs if not isinstance(tokens, RegionTooLong)]
+    beams = iter(beam_search(BeamScorer(model, sources), k=k, max_len=model.config.max_tgt_len) if sources else ())
+    return [
+        tokens if isinstance(tokens, RegionTooLong)
+        else [(vocab.decode(list(c.content_tokens)), c.log_prob) for c in next(beams)]
+        for tokens in inputs
+    ]
 
 
 def repair(
     fixer: Seq2SeqModel,
-    task: RepairTask,
+    tasks: Sequence[RepairTask],
     k: int,
     rep_cfg: RepresentationConfig,
     vocab: Vocabulary,
-) -> list[CandidatePatch]:
-    """Up to K candidate programs: the buggy program with its fault span
-    replaced by each beam-decoded region, in beam order."""
+) -> list[list[CandidatePatch] | RegionTooLong]:
+    """For each task, up to K candidate programs: the buggy program with
+    its fault span replaced by each beam-decoded region, in beam order;
+    or the task's RegionTooLong when its input does not fit the length
+    budget. Every task decodes in one search."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    patches = []
-    for rank, (text, log_prob) in enumerate(
-        propose_regions(fixer, task.buggy, task.fault_span, k, rep_cfg, vocab), start=1
-    ):
-        result = splice_region(task.buggy.text, task.fault_span, text.split("\n"))
-        patches.append(
-            CandidatePatch(
-                rank=rank,
-                log_prob=log_prob,
-                region_text=text,
-                program=SourceProgram(f"{task.name}@rank{rank}", result.mutant_text),
-            )
-        )
-    return patches
+    proposals = propose_regions(fixer, [(task.buggy, task.fault_span) for task in tasks], k, rep_cfg, vocab)
+    out: list[list[CandidatePatch] | RegionTooLong] = []
+    for task, proposed in zip(tasks, proposals):
+        if not isinstance(proposed, RegionTooLong):
+            proposed = [
+                CandidatePatch(
+                    rank=rank,
+                    log_prob=log_prob,
+                    region_text=text,
+                    program=SourceProgram(
+                        f"{task.name}@rank{rank}",
+                        splice_region(task.buggy.text, task.fault_span, text.split("\n")).mutant_text,
+                    ),
+                )
+                for rank, (text, log_prob) in enumerate(proposed, start=1)
+            ]
+        out.append(proposed)
+    return out
 
 
 def assess(
@@ -243,19 +259,17 @@ def evaluate(
     vocab: Vocabulary,
     fuel: int = DEFAULT_FUEL,
 ) -> EvalReport:
-    """Run repair + assessment over every task. The report derives the
-    totals, the cumulative-correct-by-rank curve and patch compilability
-    from the task results; each plausible-but-not-correct candidate joins
-    the review queue with its program text."""
+    """Run repair (one search over every task) + assessment; a task whose
+    input does not fit the length budget has no candidates. The report
+    derives the totals, the cumulative-correct-by-rank curve and patch
+    compilability from the task results; each plausible-but-not-correct
+    candidate joins the review queue with its program text."""
     if not tasks:
         raise ValueError("no tasks to evaluate")
     task_results: list[TaskResult] = []
     review: list[dict] = []
-    for task in tasks:
-        try:
-            candidates = repair(fixer, task, k, rep_cfg, vocab)
-        except RegionTooLong:
-            candidates = []
+    for task, patches in zip(tasks, repair(fixer, tasks, k, rep_cfg, vocab)):
+        candidates = [] if isinstance(patches, RegionTooLong) else patches
         assessments = assess(candidates, task, fuel=fuel)
         for candidate, assessment in zip(candidates, assessments):
             if assessment.plausible and not assessment.correct:

@@ -1,15 +1,19 @@
-"""Beam-search decoding.
+"""Beam-search decoding, every source at once.
 
-Keeps the K best partial sequences by total log-probability. Finished
-beams (those that emitted EOS) stay in the pool with frozen scores;
-decoding stops exactly when every surviving beam has finished, or when
-max_len is reached, whichever comes first. Candidates are ranked by
-log-probability with a lexicographic token-order tie-break, so results
-are fully deterministic. There is no length penalty.
+One search decodes a batch of sources. Each source keeps its own pool:
+the K best partial sequences by total log-probability, and finished
+beams (those that emitted EOS), which stay in the pool with frozen
+scores. A source stops exactly when every surviving beam of its pool
+has finished, or when max_len is reached, whichever comes first.
+Candidates are ranked by log-probability with a lexicographic
+token-order tie-break, so results are fully deterministic. There is no
+length penalty. Each step scores the live prefixes of every unfinished
+source in one scorer call, so a search makes at most max_len calls
+however many sources it decodes.
 
 With K at least the size of the full sequence space nothing is ever
-pruned, so the result equals exhaustive top-K enumeration; with K=1 the
-result is greedy decoding.
+pruned, so a source's result equals exhaustive top-K enumeration; with
+K=1 the result is greedy decoding.
 """
 
 from __future__ import annotations
@@ -23,12 +27,19 @@ from ..representation import BOS, EOS, PAD
 
 
 class Scorer(Protocol):
-    """Anything that can score next tokens for a batch of prefixes."""
+    """Anything that can score next tokens for batches of prefixes, one
+    batch per source. `step_logprobs(prefixes)` takes each source's
+    prefixes, `prefixes[s]` (empty for a source that is done), and
+    returns a (rows, V) array: the rows of source 0's prefixes, then
+    source 1's, and so on."""
 
     @property
     def vocab_size(self) -> int: ...
 
-    def step_logprobs(self, prefixes: list[list[int]]) -> np.ndarray: ...
+    @property
+    def n_sources(self) -> int: ...
+
+    def step_logprobs(self, prefixes: list[list[list[int]]]) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -74,33 +85,38 @@ def beam_search(
     k: int,
     max_len: int,
     forbidden: tuple[int, ...] = (PAD, BOS),
-) -> list[BeamCandidate]:
-    """Up to K candidates, sorted by log-probability (ties broken by
-    token order). Each candidate either ends with EOS or has max_len
-    tokens."""
+) -> list[list[BeamCandidate]]:
+    """For each source, up to K candidates, sorted by log-probability
+    (ties broken by token order). Each candidate either ends with EOS or
+    has max_len tokens."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    alive: list[tuple[tuple[int, ...], float]] = [((), 0.0)]
-    finished: list[tuple[tuple[int, ...], float]] = []
+    sources = range(scorer.n_sources)
+    alive: list[list[tuple[tuple[int, ...], float]]] = [[((), 0.0)] for _ in sources]
+    finished: list[list[tuple[tuple[int, ...], float]]] = [[] for _ in sources]
     for _ in range(max_len):
-        if not alive:
-            break
-        logprobs = scorer.step_logprobs([list(tokens) for tokens, _ in alive])
-        scores = np.asarray([score for _, score in alive])[:, None] + logprobs
-        for token_id in forbidden:
-            scores[:, token_id] = -np.inf
-        pool = list(finished) + _top_extensions(alive, scores, k)
-        pool.sort(key=_sort_key)
-        pool = pool[:k]
-        finished = [entry for entry in pool if entry[0][-1] == EOS]
-        alive = [entry for entry in pool if entry[0][-1] != EOS]
-        if not alive:
-            break  # all K surviving beams have emitted EOS
-    results = sorted(finished + alive, key=_sort_key)[:k]
+        if not any(alive):
+            break  # every source's K surviving beams have emitted EOS
+        logprobs = scorer.step_logprobs([[list(tokens) for tokens, _ in pool] for pool in alive])
+        scores = np.asarray([score for pool in alive for _, score in pool])[:, None] + logprobs
+        scores[:, list(forbidden)] = -np.inf
+        start = 0
+        for source in sources:
+            if not alive[source]:
+                continue
+            rows = scores[start : start + len(alive[source])]
+            start += len(alive[source])
+            pool = finished[source] + _top_extensions(alive[source], rows, k)
+            pool.sort(key=_sort_key)
+            pool = pool[:k]
+            finished[source] = [entry for entry in pool if entry[0][-1] == EOS]
+            alive[source] = [entry for entry in pool if entry[0][-1] != EOS]
     return [
-        BeamCandidate(tokens=tokens, log_prob=log_prob, rank=i + 1)
-        for i, (tokens, log_prob) in enumerate(results)
+        [
+            BeamCandidate(tokens=tokens, log_prob=log_prob, rank=i + 1)
+            for i, (tokens, log_prob) in enumerate(sorted(finished[source] + alive[source], key=_sort_key)[:k])
+        ]
+        for source in sources
     ]
-

@@ -1,7 +1,8 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
 Just enough machinery for an encoder-decoder transformer: broadcasted
-add/mul, batched matmul, relu, embedding gather, fused layer-norm,
+add/mul, batched matmul (one GEMM over the rows when the right operand
+is a 2-D weight), relu, embedding gather, fused layer-norm,
 fused softmax, masked token cross-entropy, reshape/transpose, and
 inverted dropout. Everything computes in one dtype, `DTYPE` (float32):
 every Tensor's data is cast to it, and every array an op mixes into its
@@ -115,6 +116,23 @@ def mul(a: Tensor, b) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """`a @ b`. A 2-D `b` (a weight) against an `a` of more dimensions is
+    one GEMM over `a`'s rows, `(-1, D) @ (D, F)`, in the forward pass and
+    in both gradients: numpy would run one BLAS call per leading index.
+    Any other pair is numpy's batched matmul."""
+    if b.data.ndim == 2 and a.data.ndim > 2:
+        rows = a.data.reshape(-1, a.data.shape[-1])
+        out_data = (rows @ b.data).reshape(a.data.shape[:-1] + b.data.shape[1:])
+
+        def backward(grad: np.ndarray) -> None:
+            grad_rows = grad.reshape(-1, grad.shape[-1])
+            if a.requires_grad:
+                a.accumulate((grad_rows @ b.data.T).reshape(a.data.shape))
+            if b.requires_grad:
+                b.accumulate(rows.T @ grad_rows)
+
+        return _make(out_data, (a, b), backward)
+
     out_data = a.data @ b.data
 
     def backward(grad: np.ndarray) -> None:

@@ -266,6 +266,7 @@ class Seq2SeqModel:
         self_mask: np.ndarray,
         cross_kv: list[tuple[Tensor, Tensor]],
         cross_mask: np.ndarray,
+        sources: np.ndarray,
     ) -> np.ndarray:
         """Eval-mode decoder logits (B, V) at one new target position T.
 
@@ -273,15 +274,25 @@ class Seq2SeqModel:
         self-attention keys and values, position-major (T + 1, B, H, Dh):
         the caller fills positions < T and this step writes position T.
         self_mask (B, 1, 1, T + 1) is the additive mask over the same
-        positions. Every row decodes against one source: cross_kv is
-        `cross_attention_kv` of a batch of one, and the B queries go
-        through it as one sequence of B positions.
+        positions. cross_kv holds each layer's cross-attention keys and
+        values over N sources, (N, H, S, Dh) (`cross_attention_kv`), and
+        cross_mask (N, 1, 1, S) hides their PAD positions. Row b decodes
+        against source sources[b]; rows come grouped by source, in
+        source order. Cross-attention lays the queries out as
+        (N, H, R, Dh), R the most rows any source has, with zero queries
+        in the slots of a source that has fewer (or none, once it is
+        done): a single source is one sequence of B query positions.
         """
         c = self.config
         tgt_ids = np.asarray(tgt_ids, dtype=np.int64)
         batch, position = tgt_ids.shape[0], cache[0][0].shape[0] - 1
         if position > c.max_tgt_len:
             raise ValueError(f"target length {position + 1} exceeds {c.max_tgt_len + 1}")
+        n_sources = cross_mask.shape[0]
+        counts = np.bincount(sources, minlength=n_sources)
+        width = int(counts.max())
+        # each row's slot in the (N * R) query grid: its source's R slots, in row order
+        slots = sources * width + np.arange(batch) - (np.cumsum(counts) - counts)[sources]
         y = tape.add(
             tape.embedding(self.params["dec.tok_emb"], tgt_ids[:, None]),
             tape.embedding(self.params["dec.pos_emb"], np.asarray([position])),
@@ -294,10 +305,12 @@ class Seq2SeqModel:
             k, v = Tensor(keys.transpose(1, 2, 0, 3)), Tensor(values.transpose(1, 2, 0, 3))
             y = tape.add(y, self._attend(prefix, self._project(prefix, "wq", normed), k, v, self_mask, False, None))
             prefix = f"dec.{i}.cross"
-            rows = tape.reshape(self._ln(f"dec.{i}.ln2", y), (1, batch, c.d_model))
+            queries = np.zeros((n_sources * width, c.d_model), dtype=tape.DTYPE)
+            queries[slots] = self._ln(f"dec.{i}.ln2", y).data[:, 0]
             k, v = cross_kv[i]
-            cross = self._attend(prefix, self._project(prefix, "wq", rows), k, v, cross_mask, False, None)
-            y = tape.add(y, tape.reshape(cross, (batch, 1, c.d_model)))
+            q = self._project(prefix, "wq", Tensor(queries.reshape(n_sources, width, c.d_model)))
+            cross = self._attend(prefix, q, k, v, cross_mask, False, None).data.reshape(-1, c.d_model)
+            y = tape.add(y, cross[slots][:, None, :])
             y = tape.add(y, self._ffn(f"dec.{i}.ffn", self._ln(f"dec.{i}.ln3", y), False, None))
         y = self._ln("dec.ln_final", y)
         return tape.add(tape.matmul(y, self.params["out.w"]), self.params["out.b"]).data[:, 0, :]
@@ -329,52 +342,78 @@ class Seq2SeqModel:
 
 
 class BeamScorer:
-    """The `Scorer` beam search uses: one source, batches of prefixes.
+    """The `Scorer` beam search uses: a batch of sources, each with its
+    own batch of prefixes.
 
-    `__init__` encodes the source once and projects each decoder layer's
-    cross-attention keys and values once, (1, H, S, Dh), shared by every
-    beam. It accepts exactly the calls beam search makes: `[[]]` first,
-    then each call's prefixes must each extend a prefix of the previous
-    call by one token. `step_logprobs` keeps each layer's self-attention
-    keys and values over BOS and each prefix of its previous call,
-    gathers the parents' rows and decodes only the new position. Any
-    other call raises ValueError and leaves the scorer as it was; score
-    arbitrary prefixes with teacher-forced `Seq2SeqModel.decode`.
+    `__init__` encodes each source on its own, exactly as a batch of one,
+    and projects each decoder layer's cross-attention keys and values
+    once per source, shared by every beam of that source; the sources'
+    keys and values are padded to the longest source, (N, H, S, Dh),
+    under the PAD mask. It accepts exactly the calls beam search makes:
+    one empty prefix per source first, then each call's prefixes of a
+    source must each extend a prefix that source had in the previous
+    call by one token; a source with no prefixes in a call is done.
+    `step_logprobs` keeps each layer's
+    self-attention keys and values over BOS and each prefix of its
+    previous call, gathers the parents' rows and decodes only the new
+    position, every source's rows in one decoder step. Any other call
+    raises ValueError and leaves the scorer as it was; score arbitrary
+    prefixes with teacher-forced `Seq2SeqModel.decode`.
     """
 
-    def __init__(self, model: Seq2SeqModel, input_tokens: list[int]):
+    def __init__(self, model: Seq2SeqModel, sources: list[list[int]]):
+        if not sources:
+            raise ValueError("no sources to decode")
         self.model = model
-        src = np.asarray([input_tokens], dtype=np.int64)
-        with tape.no_grad():
-            self._cross_kv = model.cross_attention_kv(model.encode(src))
-        self._cross_mask = model.pad_mask(src)
-        # the cache: a row per prefix of the last call, over BOS and that
-        # prefix; before the first call, one empty row that BOS extends
         c = model.config
-        empty = np.zeros((0, 1, c.n_heads, c.d_model // c.n_heads), dtype=tape.DTYPE)
-        self._rows: dict[tuple[int, ...], int] = {(): 0}
+        d_head = c.d_model // c.n_heads
+        src = np.full((len(sources), max(len(tokens) for tokens in sources)), PAD, dtype=np.int64)
+        shape = (len(sources), c.n_heads, src.shape[1], d_head)
+        kv = [(np.zeros(shape, dtype=tape.DTYPE), np.zeros(shape, dtype=tape.DTYPE)) for _ in range(c.n_decoder_layers)]
+        with tape.no_grad():
+            for index, tokens in enumerate(sources):
+                src[index, : len(tokens)] = tokens
+                one = np.asarray([tokens], dtype=np.int64)
+                for padded, projected in zip(kv, model.cross_attention_kv(model.encode(one))):
+                    for into, tensor in zip(padded, projected):
+                        into[index, :, : len(tokens)] = tensor.data[0]
+        self._cross_kv = [(Tensor(keys), Tensor(values)) for keys, values in kv]
+        self._cross_mask = model.pad_mask(src)
+        # the cache: a row per (source, prefix) of the last call, over BOS
+        # and that prefix; before the first call, one empty row per source
+        empty = np.zeros((0, len(sources), c.n_heads, d_head), dtype=tape.DTYPE)
+        self._rows: dict[tuple[int, tuple[int, ...]], int] = {(s, ()): s for s in range(len(sources))}
         self._cache: list[tuple[np.ndarray, np.ndarray]] = [(empty, empty)] * c.n_decoder_layers
-        self._self_mask = np.zeros((1, 1, 1, 0), dtype=tape.DTYPE)
+        self._self_mask = np.zeros((len(sources), 1, 1, 0), dtype=tape.DTYPE)
 
     @property
     def vocab_size(self) -> int:
         return self.model.config.vocab_size
 
-    def step_logprobs(self, prefixes: list[list[int]]) -> np.ndarray:
-        """(len(prefixes), V) log-probabilities for the next token."""
-        if not prefixes:
+    @property
+    def n_sources(self) -> int:
+        return self._cross_mask.shape[0]
+
+    def step_logprobs(self, prefixes: list[list[list[int]]]) -> np.ndarray:
+        """(rows, V) log-probabilities for the next token, a row per
+        prefix: source 0's prefixes first, then source 1's, and so on."""
+        if len(prefixes) != self.n_sources:
+            raise ValueError(f"expected prefixes for {self.n_sources} sources, got {len(prefixes)}")
+        keys = [(source, (BOS, *prefix)) for source, batch in enumerate(prefixes) for prefix in batch]
+        if not keys:
             raise ValueError("no prefixes to score")
-        keys = [(BOS, *prefix) for prefix in prefixes]
-        parents = [self._rows.get(key[:-1]) for key in keys]
+        parents = [self._rows.get((source, key[:-1])) for source, key in keys]
         if None in parents:
             raise ValueError("each prefix must extend a prefix of the previous call by one token")
-        logits = self._advance(np.asarray([key[-1] for key in keys]), np.asarray(parents))
+        logits = self._advance(
+            np.asarray([key[-1] for _, key in keys]), np.asarray(parents), np.asarray([s for s, _ in keys])
+        )
         self._rows = {key: row for row, key in enumerate(keys)}
         return tape.log_softmax_last(logits)
 
-    def _advance(self, tokens: np.ndarray, parents: np.ndarray) -> np.ndarray:
-        """Logits for the cached rows `parents`, each extended by its
-        token; the extended rows replace the cache."""
+    def _advance(self, tokens: np.ndarray, parents: np.ndarray, sources: np.ndarray) -> np.ndarray:
+        """Logits for the cached rows `parents` of `sources`, each extended
+        by its token; the extended rows replace the cache."""
         length = self._self_mask.shape[3]
         cache = []
         for layer in self._cache:
@@ -387,6 +426,6 @@ class BeamScorer:
             cache.append(tuple(grown))
         self_mask = np.concatenate([self._self_mask[parents], self.model.pad_mask(tokens[:, None])], axis=3)
         with tape.no_grad():
-            logits = self.model.decode_step(tokens, cache, self_mask, self._cross_kv, self._cross_mask)
+            logits = self.model.decode_step(tokens, cache, self_mask, self._cross_kv, self._cross_mask, sources)
         self._cache, self._self_mask = cache, self_mask
         return logits

@@ -1,18 +1,79 @@
-"""Test-only helpers with no caller in `src/`: a brute-force beam-search
-oracle, a compile check, a region's text, a corruption-rule lookup, and
+"""Test-only helpers with no caller in `src/`: a seeded toy scorer, the
+per-source beam search and a brute-force top-K as oracles, a compile
+check, a region's text, a corruption-rule lookup, and
 repair tasks built from mechanical bugs."""
 
 from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from jayfix.corpus import CorpusEntry
 from jayfix.evaluate import RepairTask
 from jayfix.mechanical import DEFAULT_RULES, CorruptionRule, MechanicalBug
 from jayfix.minilang import SourceProgram, Span, analyze
 from jayfix.model import BeamCandidate
-from jayfix.model.beam import Scorer
+from jayfix.model.beam import Scorer, _top_extensions
 from jayfix.representation import BOS, EOS, PAD
+
+
+class ToyScorer:
+    """Deterministic fake model over a tiny vocabulary, one seed per
+    source: the next-token distribution depends only on (seed, prefix)."""
+
+    def __init__(self, seeds: Sequence[int], vocab_size: int = 8):
+        self.seeds = list(seeds)
+        self.vocab_size = vocab_size
+
+    @property
+    def n_sources(self) -> int:
+        return len(self.seeds)
+
+    def step_logprobs(self, prefixes):
+        rows = []
+        for seed, batch in zip(self.seeds, prefixes, strict=True):
+            for prefix in batch:
+                rng = np.random.default_rng([seed, len(prefix) + 1, *(t + 1 for t in prefix)])
+                logits = 2.0 * rng.normal(size=self.vocab_size)
+                shifted = logits - logits.max()
+                rows.append(shifted - np.log(np.exp(shifted).sum()))
+        return np.asarray(rows)
+
+
+def _sort_key(entry: tuple[tuple[int, ...], float]):
+    tokens, log_prob = entry
+    return (-log_prob, tokens)
+
+
+def beam_search_one_source(
+    scorer: Scorer,
+    k: int,
+    max_len: int,
+    forbidden: tuple[int, ...] = (PAD, BOS),
+) -> list[BeamCandidate]:
+    """Beam search over a one-source scorer, one source per search: the
+    oracle for `beam_search`, which decodes every source at once."""
+    assert scorer.n_sources == 1
+    alive: list[tuple[tuple[int, ...], float]] = [((), 0.0)]
+    finished: list[tuple[tuple[int, ...], float]] = []
+    for _ in range(max_len):
+        if not alive:
+            break
+        logprobs = scorer.step_logprobs([[list(tokens) for tokens, _ in alive]])
+        scores = np.asarray([score for _, score in alive])[:, None] + logprobs
+        for token_id in forbidden:
+            scores[:, token_id] = -np.inf
+        pool = list(finished) + _top_extensions(alive, scores, k)
+        pool.sort(key=_sort_key)
+        pool = pool[:k]
+        finished = [entry for entry in pool if entry[0][-1] == EOS]
+        alive = [entry for entry in pool if entry[0][-1] != EOS]
+    results = sorted(finished + alive, key=_sort_key)[:k]
+    return [
+        BeamCandidate(tokens=tokens, log_prob=log_prob, rank=i + 1)
+        for i, (tokens, log_prob) in enumerate(results)
+    ]
 
 
 def exhaustive_top_k(
@@ -21,16 +82,18 @@ def exhaustive_top_k(
     max_len: int,
     forbidden: tuple[int, ...] = (PAD, BOS),
 ) -> list[BeamCandidate]:
-    """Brute-force oracle: enumerate every complete sequence up to
-    max_len (EOS-terminated, or EOS-free at exactly max_len) and rank
-    them all. Only viable for toy vocabularies."""
+    """Brute-force oracle over a one-source scorer: enumerate every
+    complete sequence up to max_len (EOS-terminated, or EOS-free at
+    exactly max_len) and rank them all. Only viable for toy
+    vocabularies."""
+    assert scorer.n_sources == 1
     complete: list[tuple[tuple[int, ...], float]] = []
 
     def expand(prefix: tuple[int, ...], score: float) -> None:
         if len(prefix) == max_len:
             complete.append((prefix, score))
             return
-        row = scorer.step_logprobs([list(prefix)])[0]
+        row = scorer.step_logprobs([[list(prefix)]])[0]
         for token_id in range(scorer.vocab_size):
             if token_id in forbidden:
                 continue

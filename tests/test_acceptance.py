@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from gradcheck import grad_check
-from helpers import exhaustive_top_k, tasks_from_mechanical_bugs
+from helpers import ToyScorer, exhaustive_top_k, tasks_from_mechanical_bugs
 
 from jayfix.backtranslate import LoopConfig, run_loop
 from jayfix.cli import EXIT_OK, main as cli_main
@@ -36,7 +36,7 @@ from jayfix.model import (
     save_checkpoint,
     train,
 )
-from jayfix.representation import EOS, RepresentationConfig, Vocabulary
+from jayfix.representation import EOS, RegionTooLong, RepresentationConfig, Vocabulary
 from jayfix.util import derive_seed
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -269,8 +269,8 @@ def test_criterion_04_compilability_metric(pipelines, world):
     fixer = load_checkpoint(run["baseline_ckpt"])
     recount_compiling = 0
     recount_generated = 0
-    for task in run["tasks"]:
-        candidates = repair(fixer, task, EVAL_K, ACC_REP, vocab)
+    for candidates in repair(fixer, run["tasks"], EVAL_K, ACC_REP, vocab):
+        candidates = [] if isinstance(candidates, RegionTooLong) else candidates  # as `evaluate` counts it
         recount_generated += len(candidates)
         for candidate in candidates:
             ast, diagnostics = analyze(candidate.program)
@@ -299,32 +299,14 @@ def test_criterion_04_compilability_metric(pipelines, world):
 # --- criterion 5 ----------------------------------------------------------------
 
 
-class ToyScorer:
-    """3-symbol toy model (EOS plus two content tokens) with a
-    deterministic distribution per (seed, prefix)."""
-
-    def __init__(self, seed: int, vocab_size: int = 8):
-        self.seed = seed
-        self.vocab_size = vocab_size
-
-    def step_logprobs(self, prefixes):
-        rows = []
-        for prefix in prefixes:
-            rng = np.random.default_rng([self.seed, len(prefix) + 1, *(t + 1 for t in prefix)])
-            logits = 2.0 * rng.normal(size=self.vocab_size)
-            shifted = logits - logits.max()
-            rows.append(shifted - np.log(np.exp(shifted).sum()))
-        return np.asarray(rows)
-
-
 def test_criterion_05_beam_correctness():
     forbid = tuple(i for i in range(8) if i not in (EOS, 6, 7))
     max_len = 4
     space = sum(2**n for n in range(max_len)) + 2**max_len
     exact = True
     for seed in range(5):
-        scorer = ToyScorer(seed)
-        ours = beam_search(scorer, k=space, max_len=max_len, forbidden=forbid)
+        scorer = ToyScorer([seed])  # 3 symbols: EOS plus two content tokens
+        [ours] = beam_search(scorer, k=space, max_len=max_len, forbidden=forbid)
         oracle = exhaustive_top_k(scorer, k=space, max_len=max_len, forbidden=forbid)
         exact = exact and [c.tokens for c in ours] == [c.tokens for c in oracle]
         exact = exact and all(
@@ -332,11 +314,11 @@ def test_criterion_05_beam_correctness():
         )
     greedy_ok = True
     for seed in range(100):
-        scorer = ToyScorer(seed + 2000)
-        best = beam_search(scorer, k=1, max_len=5, forbidden=forbid)[0]
+        scorer = ToyScorer([seed + 2000])
+        [[best]] = beam_search(scorer, k=1, max_len=5, forbidden=forbid)
         tokens = []
         while len(tokens) < 5:
-            row = scorer.step_logprobs([tokens])[0].copy()
+            row = scorer.step_logprobs([[tokens]])[0].copy()
             row[list(forbid)] = -np.inf
             tokens.append(int(np.argmax(row)))
             if tokens[-1] == EOS:
@@ -387,12 +369,11 @@ def test_criterion_07_memorization(world):
     result = train(model, fifty, fifty, cfg)
     below = [h.epoch for h in result.history if h.train_loss < 0.05]
     reached = below[0] if below else None
-    reproduced = 0
-    for sample in fifty:
-        scorer = BeamScorer(model, list(sample.input_tokens))
-        best = beam_search(scorer, k=1, max_len=model.config.max_tgt_len)[0]
-        if best.content_tokens == sample.target_tokens:
-            reproduced += 1
+    scorer = BeamScorer(model, [list(sample.input_tokens) for sample in fifty])
+    reproduced = sum(
+        best.content_tokens == sample.target_tokens
+        for sample, [best] in zip(fifty, beam_search(scorer, k=1, max_len=model.config.max_tgt_len))
+    )
     announce(
         7, "memorization",
         reached is not None and reached <= 500 and reproduced >= 45,

@@ -221,8 +221,11 @@ def _stub_beam(monkeypatch, proposals):
     """Replace beam decoding by fixed proposals per span, so the identity
     proposal (the span's own lines) is certain to occur."""
 
-    def propose(model, program, span, k, rep_cfg, vocab):
-        return [(text, -float(i)) for i, text in enumerate(proposals(region_text(program.text, span)))][:k]
+    def propose(model, requests, k, rep_cfg, vocab):
+        return [
+            [(text, -float(i)) for i, text in enumerate(proposals(region_text(program.text, span)))][:k]
+            for program, span in requests
+        ]
 
     monkeypatch.setattr(backtranslate, "propose_regions", propose)
 
@@ -233,13 +236,15 @@ def test_generate_candidates_span_then_beam_order(world):
     spans = list(reversed(enumerate_statement_locations(entry.ast)))
     model = make_model(vocab, rep_cfg, seed=30)
     critic = CriticKind(FAMILY_NONE, POLARITY_BUGGY)
-    generation = generate_candidates(
-        model, entry.program, entry.name, spans, 3, critic, entry.suite, DEFAULT_FUEL, rep_cfg, vocab
+    [generation] = generate_candidates(
+        model, [(entry.name, entry.program, spans, entry.suite)], 3, critic, DEFAULT_FUEL, rep_cfg, vocab
     )
     expected = [
         (span, splice_region(entry.program.text, span, text.split("\n")).mutant_text)
-        for span in spans
-        for text, _ in propose_regions(model, entry.program, span, 3, rep_cfg, vocab)
+        for span, proposed in zip(
+            spans, propose_regions(model, [(entry.program, span) for span in spans], 3, rep_cfg, vocab)
+        )
+        for text, _ in proposed
     ]
     assert [(c.anchor, c.program.text) for c in generation.candidates] == expected
     assert len(expected) == 3 * len(spans)
@@ -257,8 +262,8 @@ def test_generate_candidates_skips_too_long_spans(world):
     assert too_long and len(too_long) < len(spans)
     model = make_model(vocab, rep_cfg, seed=31)
     critic = CriticKind(FAMILY_NONE, POLARITY_BUGGY)
-    generation = generate_candidates(
-        model, entry.program, entry.name, spans, 2, critic, entry.suite, DEFAULT_FUEL, rep_cfg, vocab
+    [generation] = generate_candidates(
+        model, [(entry.name, entry.program, spans, entry.suite)], 2, critic, DEFAULT_FUEL, rep_cfg, vocab
     )
     assert generation.skipped == len(too_long)
     anchors = [c.anchor for c in generation.candidates]
@@ -274,8 +279,8 @@ def test_generate_candidates_identity_rule_follows_polarity(world, monkeypatch, 
     spans = enumerate_statement_locations(entry.ast)
     _stub_beam(monkeypatch, lambda region: [region, region + " +"])
     critic = CriticKind(FAMILY_NONE, polarity)
-    generation = generate_candidates(
-        None, entry.program, entry.name, spans, 2, critic, entry.suite, DEFAULT_FUEL, rep_cfg, vocab
+    [generation] = generate_candidates(
+        None, [(entry.name, entry.program, spans, entry.suite)], 2, critic, DEFAULT_FUEL, rep_cfg, vocab
     )
     identities = [c for c in generation.candidates if c.program.text == entry.program.text]
     if polarity == POLARITY_CORRECT:
@@ -297,8 +302,9 @@ def test_kept_agrees_with_batch_log_and_filter_counts(world, tmp_path, monkeypat
     generations = []
 
     def spy(*args, **kwargs):
-        generations.append(generate_candidates(*args, **kwargs))
-        return generations[-1]
+        result = generate_candidates(*args, **kwargs)
+        generations.extend(result)
+        return result
 
     monkeypatch.setattr(backtranslate, "generate_candidates", spy)
     monkeypatch.setattr(backtranslate, "_finetune", lambda *args: 0.0)  # bookkeeping only
@@ -398,9 +404,10 @@ def test_every_backtranslated_sample_inverts_its_edit(world, tmp_path, monkeypat
     generated, batches = [], []
     log_batch = backtranslate._log_batch
 
-    def generate(model, program, *args):
-        generated.append((program, generate_candidates(model, program, *args)))
-        return generated[-1][1]
+    def generate(model, prompts, *args):
+        result = generate_candidates(model, prompts, *args)
+        generated.extend((program, g) for (_, program, _, _), g in zip(prompts, result))
+        return result
 
     def logged(log, phase, base_name, generation, *args):
         samples = log_batch(log, phase, base_name, generation, *args)
@@ -473,10 +480,12 @@ def test_breaker_first_proposes_for_each_repair_task_once_per_iteration(world, t
         prompts[kwargs["iteration"]] = []
         return iteration(*args, **kwargs)
 
-    def generate(model, program, base_name, spans, k, critic, *args):
+    def generate(model, batch, k, critic, *args):
         if critic.polarity == POLARITY_CORRECT:
-            prompts[max(prompts)].append((base_name, program.text, tuple(spans)))
-        return generate_candidates(model, program, base_name, spans, k, critic, *args)
+            prompts[max(prompts)].extend(
+                (base_name, program.text, tuple(spans)) for base_name, program, spans, _ in batch
+            )
+        return generate_candidates(model, batch, k, critic, *args)
 
     monkeypatch.setattr(backtranslate, "bt_iteration", each_iteration)
     monkeypatch.setattr(backtranslate, "generate_candidates", generate)
@@ -501,10 +510,12 @@ def test_breaker_prompt_with_no_span_in_budget_logs_no_batch(world, tmp_path, mo
     subset = small_world(entries, n_correct=2, n_buggy=0)
     too_long, fits = [e for e in subset if e.status == "correct"]
 
-    def propose(model, program, span, k, rep_cfg, vocab):
-        if program.name == too_long.name:
-            raise RegionTooLong(f"region {span} does not fit")
-        return [("    return 0;", 0.0)]
+    def propose(model, requests, k, rep_cfg, vocab):
+        return [
+            RegionTooLong(f"region {span} does not fit") if program.name == too_long.name
+            else [("    return 0;", 0.0)]
+            for program, span in requests
+        ]
 
     monkeypatch.setattr(backtranslate, "propose_regions", propose)
     monkeypatch.setattr(backtranslate, "_finetune", lambda *args: 0.0)  # bookkeeping only

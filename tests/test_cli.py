@@ -11,7 +11,7 @@ from jayfix import evaluate as evaluate_module
 from jayfix.cli import EXIT_DATA, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, main
 from jayfix.evaluate import CandidatePatch
 from jayfix.minilang import SourceProgram
-from jayfix.model import TrainingDiverged
+from jayfix.model import BeamScorer, TrainingDiverged
 
 MICRO_CONFIG = {
     "seed": 5,
@@ -143,6 +143,42 @@ def test_repair_span_outside_file_is_data_error(workspace):
         "--config", str(config_path),
     ])
     assert code == EXIT_DATA
+
+
+def test_repair_of_a_region_over_the_input_budget_is_data_error(workspace, tmp_path, capsys):
+    root, config_path = workspace
+    corpus = Path(json.loads(Path(config_path).read_text())["corpus_dir"])
+    argv = ["repair", str(corpus / "bubble_sort.jay"), "--span", "1:18", "--config", str(config_path)]
+    assert main([*argv, "--out", str(tmp_path / "patches")]) == EXIT_DATA
+    assert "exceeds budget" in capsys.readouterr().err
+    assert not (tmp_path / "patches").exists()
+
+
+@pytest.mark.parametrize("command, searches", [("backtranslate", 2), ("gen-bugs", 1), ("evaluate", 1)])
+def test_one_beam_search_per_half_and_per_command(workspace, tmp_path, monkeypatch, command, searches):
+    # every prompt of a back-translation half, every location of gen-bugs and
+    # every task of evaluate decode in one search, of at most max_len steps
+    root, config_path = workspace
+    steps: list[int] = []  # scorer calls per search
+    search, step = evaluate_module.beam_search, BeamScorer.step_logprobs
+
+    def counting_search(scorer, k, max_len, **kwargs):
+        steps.append(0)
+        result = search(scorer, k=k, max_len=max_len, **kwargs)
+        assert 0 < steps[-1] <= max_len
+        return result
+
+    def counting_step(self, prefixes):
+        steps[-1] += 1
+        return step(self, prefixes)
+
+    monkeypatch.setattr(evaluate_module, "beam_search", counting_search)
+    monkeypatch.setattr(BeamScorer, "step_logprobs", counting_step)
+    out = tmp_path / "out"
+    if command == "backtranslate":  # its --out is the work directory to run in
+        shutil.copytree(root / "work", out)
+    assert main([command, "--config", str(config_path), "--out", str(out)]) == EXIT_OK
+    assert len(steps) == searches
 
 
 def test_gen_bugs_counting_identity_with_none_critic(workspace, tmp_path):
@@ -289,8 +325,8 @@ def test_repair_without_tests_is_never_plausible(workspace, tmp_path, monkeypatc
     corpus = Path(json.loads(Path(config_path).read_text())["corpus_dir"])
     fixed = SourceProgram("gcd_buggy@rank1", (corpus / "gcd.jay").read_text())
 
-    def reference_patch(fixer, task, k, rep_cfg, vocab):
-        return [CandidatePatch(rank=1, log_prob=-0.5, region_text="fixed", program=fixed)]
+    def reference_patch(fixer, tasks, k, rep_cfg, vocab):
+        return [[CandidatePatch(rank=1, log_prob=-0.5, region_text="fixed", program=fixed)] for _ in tasks]
 
     monkeypatch.setattr(cli, "repair", reference_patch)
     argv = ["--span", "4:4", "--config", str(config_path), "--reference", str(corpus / "gcd.jay")]
@@ -311,10 +347,12 @@ def test_evaluate_writes_each_review_candidate(workspace, tmp_path, monkeypatch)
     patch = buggy.replace("b = a + b;", "b = a - a / b * b;")
     assert patch != buggy
 
-    def plausible_patch(fixer, task, k, rep_cfg, vocab):
-        if task.name != "gcd_buggy":
-            return []
-        return [CandidatePatch(rank=1, log_prob=-0.5, region_text="variant", program=SourceProgram("p", patch))]
+    def plausible_patch(fixer, tasks, k, rep_cfg, vocab):
+        return [
+            [CandidatePatch(rank=1, log_prob=-0.5, region_text="variant", program=SourceProgram("p", patch))]
+            if task.name == "gcd_buggy" else []
+            for task in tasks
+        ]
 
     monkeypatch.setattr(evaluate_module, "repair", plausible_patch)
     out_dir = tmp_path / "eval"

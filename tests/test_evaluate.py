@@ -146,20 +146,23 @@ class ScriptedFixer:
 def _scripted_repair(monkeypatch, proposals_by_task):
     import jayfix.evaluate as evaluate_module
 
-    def fake_repair(fixer, task, k, rep_cfg, vocab):
-        out = []
-        for rank, text in enumerate(proposals_by_task[task.name][:k], start=1):
-            from jayfix.minilang import splice_region
+    def fake_repair(fixer, tasks, k, rep_cfg, vocab):
+        from jayfix.minilang import splice_region
 
-            result = splice_region(task.buggy.text, task.fault_span, text.split("\n"))
-            out.append(
-                CandidatePatch(
-                    rank=rank,
-                    log_prob=-float(rank),
-                    region_text=text,
-                    program=SourceProgram(f"{task.name}@{rank}", result.mutant_text),
+        out = []
+        for task in tasks:
+            patches = []
+            for rank, text in enumerate(proposals_by_task[task.name][:k], start=1):
+                result = splice_region(task.buggy.text, task.fault_span, text.split("\n"))
+                patches.append(
+                    CandidatePatch(
+                        rank=rank,
+                        log_prob=-float(rank),
+                        region_text=text,
+                        program=SourceProgram(f"{task.name}@{rank}", result.mutant_text),
+                    )
                 )
-            )
+            out.append(patches)
         return out
 
     monkeypatch.setattr(evaluate_module, "repair", fake_repair)

@@ -1,8 +1,12 @@
-"""Differential tests: the cached `BeamScorer` against full recompute.
+"""Differential tests: the cached, multi-source `BeamScorer` against
+full recompute, and multi-source beam search against one search per
+source.
 
 `FullRecomputeScorer` is the decoder as beam search used it before the
 cache: every call runs teacher-forced `Seq2SeqModel.decode` over BOS and
-the whole of every prefix, against the encoder memory repeated per row.
+the whole of every prefix, against its source's encoder memory repeated
+per row, one source at a time. `beam_search_one_source` is beam search
+as it ran before sources were batched: one source per search.
 
 The tests held to `TOLERANCE` run in float64 (the `float64` fixture);
 one test compares the two paths in float32, the dtype jayfix computes
@@ -17,6 +21,7 @@ import numpy as np
 import pytest
 
 from gradcheck import micro_config
+from helpers import beam_search_one_source
 from jayfix.model import BeamScorer, ModelConfig, Seq2SeqModel, beam_search, tape
 from jayfix.representation import BOS, PAD
 
@@ -24,25 +29,37 @@ TOLERANCE = 1e-12
 
 
 class FullRecomputeScorer:
-    def __init__(self, model: Seq2SeqModel, input_tokens: list[int]):
+    def __init__(self, model: Seq2SeqModel, sources: list[list[int]]):
         self.model = model
-        self.src = np.asarray([input_tokens], dtype=np.int64)
+        self.sources = [np.asarray([tokens], dtype=np.int64) for tokens in sources]
         with tape.no_grad():
-            self.memory = model.encode(self.src)
+            self.memories = [model.encode(src) for src in self.sources]
 
     @property
     def vocab_size(self) -> int:
         return self.model.config.vocab_size
 
+    @property
+    def n_sources(self) -> int:
+        return len(self.sources)
+
     def step_logprobs(self, prefixes):
+        assert len(prefixes) == self.n_sources
+        rows = [
+            self._one_source(src, memory, batch)
+            for src, memory, batch in zip(self.sources, self.memories, prefixes) if batch
+        ]
+        return np.concatenate(rows)
+
+    def _one_source(self, src, memory, prefixes):
         batch = len(prefixes)
         tgt_in = np.full((batch, max(len(p) for p in prefixes) + 1), PAD, dtype=np.int64)
         for row, prefix in enumerate(prefixes):
             tgt_in[row, 0] = BOS
             tgt_in[row, 1 : 1 + len(prefix)] = prefix
         with tape.no_grad():
-            memory = tape.Tensor(np.repeat(self.memory.data, batch, axis=0))
-            logits = self.model.decode(memory, np.repeat(self.src, batch, axis=0), tgt_in).data
+            memory = tape.Tensor(np.repeat(memory.data, batch, axis=0))
+            logits = self.model.decode(memory, np.repeat(src, batch, axis=0), tgt_in).data
         last = [len(p) for p in prefixes]
         return tape.log_softmax_last(logits[np.arange(batch), last, :])
 
@@ -52,11 +69,12 @@ class Differential:
     oracle: both in `tape.DTYPE`, and each log-prob within `bound` of the
     oracle's, a function of the oracle's log-probs."""
 
-    def __init__(self, model: Seq2SeqModel, input_tokens: list[int], bound=lambda logprobs: TOLERANCE):
+    def __init__(self, model: Seq2SeqModel, sources: list[list[int]], bound=lambda logprobs: TOLERANCE):
         self.bound = bound
-        self.cached = BeamScorer(model, input_tokens)
-        self.oracle = FullRecomputeScorer(model, input_tokens)
+        self.cached = BeamScorer(model, sources)
+        self.oracle = FullRecomputeScorer(model, sources)
         self.vocab_size = self.cached.vocab_size
+        self.n_sources = self.cached.n_sources
         self.calls = 0
 
     def step_logprobs(self, prefixes):
@@ -82,6 +100,8 @@ def micro_model(seed: int) -> Seq2SeqModel:
 MODELS = {"tiny": tiny_model, "micro": micro_model}
 # the second source ends in PAD, which the cross-attention mask must hide
 SOURCES = ([6, 7, 8, 9, 10], [9, 6, 11, PAD, PAD])
+# sources of different lengths, decoded together: each is padded to the longest
+BATCH = [[6, 7, 8, 9, 10], [12, 8], [9, 6, 11, PAD, PAD], [7, 13, 6, 9, 11, 10, 8, 12, 14]]
 
 
 @pytest.mark.usefixtures("float64")
@@ -90,9 +110,9 @@ SOURCES = ([6, 7, 8, 9, 10], [9, 6, 11, PAD, PAD])
 def test_beam_search_steps_match_full_recompute(name, source):
     model = MODELS[name](seed=3)
     for k in (1, 10, 100):
-        scorer = Differential(model, source)
-        ours = beam_search(scorer, k=k, max_len=model.config.max_tgt_len)
-        oracle = beam_search(FullRecomputeScorer(model, source), k=k, max_len=model.config.max_tgt_len)
+        scorer = Differential(model, [source])
+        [ours] = beam_search(scorer, k=k, max_len=model.config.max_tgt_len)
+        oracle = beam_search_one_source(FullRecomputeScorer(model, [source]), k=k, max_len=model.config.max_tgt_len)
         assert scorer.calls > 1
         assert [c.tokens for c in ours] == [c.tokens for c in oracle]
         for a, b in zip(ours, oracle):
@@ -126,24 +146,95 @@ def test_float32_beam_search_matches_full_recompute(name, source):
     model = MODELS[name](seed=3)
     assert model.params["out.w"].data.dtype == np.float32
     for k in (1, 10, 100):
-        scorer = Differential(model, source, bound=float32_step_bound)
-        ours = beam_search(scorer, k=k, max_len=model.config.max_tgt_len)
-        oracle = beam_search(FullRecomputeScorer(model, source), k=k, max_len=model.config.max_tgt_len)
+        scorer = Differential(model, [source], bound=float32_step_bound)
+        [ours] = beam_search(scorer, k=k, max_len=model.config.max_tgt_len)
+        oracle = beam_search_one_source(FullRecomputeScorer(model, [source]), k=k, max_len=model.config.max_tgt_len)
         assert scorer.calls > 1
         assert [c.tokens for c in ours] == [c.tokens for c in oracle]
         for a, b in zip(ours, oracle):
             assert abs(a.log_prob - b.log_prob) <= F32_SCALE * (len(b.tokens) + abs(b.log_prob))
 
 
+# --- many sources at once against one search per source ---------------------
+
+
+def recording_layouts(monkeypatch, model: Seq2SeqModel) -> list[tuple[int, int]]:
+    """Each decoder step's fewest and most rows of any source, as the
+    model decodes them from now on."""
+    layouts = []
+    step = model.decode_step
+
+    def recording(tgt_ids, cache, self_mask, cross_kv, cross_mask, sources):
+        counts = np.bincount(sources, minlength=cross_mask.shape[0])
+        layouts.append((int(counts.min()), int(counts.max())))
+        return step(tgt_ids, cache, self_mask, cross_kv, cross_mask, sources)
+
+    monkeypatch.setattr(model, "decode_step", recording)
+    return layouts
+
+
+@pytest.mark.usefixtures("float64")
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_multi_source_beams_equal_the_per_source_oracle(name, monkeypatch):
+    layouts = []
+    # at seed 6 greedy decoding ends some sources before others
+    for model in (MODELS[name](seed=3), MODELS[name](seed=6)):
+        max_len = model.config.max_tgt_len
+        layouts.append(recording_layouts(monkeypatch, model))
+        for k in (1, 10, 100):
+            scorer = Differential(model, BATCH)
+            ours = beam_search(scorer, k=k, max_len=max_len)
+            assert scorer.calls > 1 and len(ours) == len(BATCH)
+            for source, beams in zip(BATCH, ours):
+                oracle = beam_search_one_source(FullRecomputeScorer(model, [source]), k=k, max_len=max_len)
+                assert [c.tokens for c in beams] == [c.tokens for c in oracle]
+                for a, b in zip(beams, oracle):
+                    assert abs(a.log_prob - b.log_prob) <= 1e-11
+    # the searches padded the queries of a source with fewer rows, and of a done source
+    layouts = [layout for steps in layouts for layout in steps]
+    assert any(0 < fewest < most for fewest, most in layouts)
+    assert any(fewest == 0 for fewest, _ in layouts)
+
+
+@pytest.mark.usefixtures("float64")
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_a_source_does_not_depend_on_its_batch_mates(name):
+    model = MODELS[name](seed=4)
+    max_len = model.config.max_tgt_len
+    for k in (1, 10, 100):
+        alone = [beam_search(BeamScorer(model, [source]), k=k, max_len=max_len)[0] for source in BATCH]
+        for order in ([3, 2, 1, 0], [1, 2, 3, 0], [2, 0]):
+            together = beam_search(BeamScorer(model, [BATCH[i] for i in order]), k=k, max_len=max_len)
+            for i, beams in zip(order, together):
+                assert [c.tokens for c in beams] == [c.tokens for c in alone[i]]
+                for a, b in zip(beams, alone[i]):
+                    assert abs(a.log_prob - b.log_prob) <= TOLERANCE
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_float32_multi_source_beams_match_the_per_source_oracle(name):
+    model = MODELS[name](seed=3)
+    max_len = model.config.max_tgt_len
+    for k in (1, 10, 100):
+        scorer = Differential(model, BATCH, bound=float32_step_bound)
+        ours = beam_search(scorer, k=k, max_len=max_len)
+        assert scorer.calls > 1
+        for source, beams in zip(BATCH, ours):
+            oracle = beam_search_one_source(FullRecomputeScorer(model, [source]), k=k, max_len=max_len)
+            assert [c.tokens for c in beams] == [c.tokens for c in oracle]
+            for a, b in zip(beams, oracle):
+                assert abs(a.log_prob - b.log_prob) <= F32_SCALE * (len(b.tokens) + abs(b.log_prob))
+
+
 @pytest.mark.usefixtures("float64")
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_other_calls_raise_and_leave_the_scorer_usable(name):
     model = MODELS[name](seed=5)
-    scorer = Differential(model, SOURCES[0])
+    scorer = Differential(model, [SOURCES[0]])
     for rejected in ([[6, 7, 6]], [[], [6]]):  # first calls deeper than BOS, and ragged
         with pytest.raises(ValueError, match="extend"):
-            scorer.step_logprobs(rejected)
-    scorer.step_logprobs([[]])  # checked against the oracle
+            scorer.step_logprobs([rejected])
+    scorer.step_logprobs([[[]]])  # checked against the oracle
     rejected_then_accepted = [
         ([[]], [[6], [7], [6]]),  # a repeat of the last call; then a repeated prefix
         ([[6], [6, 7]], [[6, 7], [7, 6]]),  # ragged lengths
@@ -152,18 +243,35 @@ def test_other_calls_raise_and_leave_the_scorer_usable(name):
     ]
     for rejected, accepted in rejected_then_accepted:
         with pytest.raises(ValueError, match="extend"):
-            scorer.step_logprobs(rejected)
-        scorer.step_logprobs(accepted)
+            scorer.step_logprobs([rejected])
+        scorer.step_logprobs([accepted])
     assert scorer.calls == 1 + len(rejected_then_accepted)
+
+
+@pytest.mark.usefixtures("float64")
+def test_calls_must_keep_each_prefix_with_its_source():
+    model = tiny_model(seed=5)
+    scorer = Differential(model, BATCH[:2])
+    with pytest.raises(ValueError, match="sources"):
+        scorer.step_logprobs([[[]]])  # one source's prefixes for two sources
+    scorer.step_logprobs([[[]], [[]]])
+    scorer.step_logprobs([[[6], [7]], [[8]]])
+    with pytest.raises(ValueError, match="extend"):
+        scorer.step_logprobs([[[8, 6]], [[6, 7]]])  # each prefix under the other source
+    scorer.step_logprobs([[], [[8, 6]]])  # source 0 is done
+    with pytest.raises(ValueError, match="extend"):
+        scorer.step_logprobs([[[6, 7]], [[8, 6, 6]]])  # a done source does not come back
+    scorer.step_logprobs([[], [[8, 6, 6]]])
+    assert scorer.calls == 4
 
 
 @pytest.mark.usefixtures("float64")
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_pad_in_a_prefix_is_masked_as_in_training(name):
     model = MODELS[name](seed=5)
-    scorer = Differential(model, SOURCES[0])
+    scorer = Differential(model, [SOURCES[0]])
     for prefixes in ([[]], [[7], [6]], [[7, PAD], [6, 7]], [[7, PAD, 6], [6, 7, PAD]]):
-        scorer.step_logprobs(prefixes)
+        scorer.step_logprobs([prefixes])
     assert scorer.calls == 4
 
 
@@ -177,11 +285,12 @@ def test_beam_search_decodes_one_position_per_step(monkeypatch):
         return step(tgt_ids, cache, *args)
 
     monkeypatch.setattr(model, "decode_step", counting)
-    scorer = BeamScorer(model, SOURCES[0])
+    scorer = BeamScorer(model, BATCH)
     calls = 0
 
     class Counting:
         vocab_size = scorer.vocab_size
+        n_sources = scorer.n_sources
 
         def step_logprobs(self, prefixes):
             nonlocal calls
@@ -195,14 +304,14 @@ def test_beam_search_decodes_one_position_per_step(monkeypatch):
 @pytest.mark.usefixtures("float64")
 def test_prefix_longer_than_the_model_allows_raises():
     model = tiny_model(seed=7)
-    scorer = Differential(model, SOURCES[0])
-    scorer.step_logprobs([[]])
+    scorer = Differential(model, [SOURCES[0]])
+    scorer.step_logprobs([[[]]])
     with pytest.raises(ValueError):
-        scorer.step_logprobs([[model.config.vocab_size]])
+        scorer.step_logprobs([[[model.config.vocab_size]]])
     # a failed call leaves the scorer usable: grow the prefix to the longest the model allows
     prefix = []
     while len(prefix) < model.config.max_tgt_len:
         prefix = prefix + [6]
-        scorer.step_logprobs([prefix])
+        scorer.step_logprobs([[prefix]])
     with pytest.raises(ValueError):
-        scorer.step_logprobs([prefix + [6]])
+        scorer.step_logprobs([[prefix + [6]]])

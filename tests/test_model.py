@@ -28,9 +28,9 @@ VOCAB = 64
 
 def next_token_distribution(model: Seq2SeqModel, input_tokens, prefix) -> np.ndarray:
     """Fed one token at a time, as beam search feeds `BeamScorer`."""
-    scorer = BeamScorer(model, input_tokens)
+    scorer = BeamScorer(model, [input_tokens])
     for length in range(len(prefix) + 1):
-        logprobs = scorer.step_logprobs([prefix[:length]])[0]
+        logprobs = scorer.step_logprobs([[prefix[:length]]])[0]
     return np.exp(logprobs)
 
 
@@ -147,8 +147,8 @@ def test_training_and_decoding_stay_in_float32(monkeypatch):
     src, tgt_in, tgt_out = make_batch(make_samples(2, width=10) + make_samples(2, seed=1, width=6))
     tape.backward(model.loss(src, tgt_in, tgt_out, train=True, rng=np.random.default_rng(0)))
     optimizer.step()
-    scorer = BeamScorer(model, [10, 11, 12, PAD])
-    logprobs = scorer.step_logprobs([[]])
+    scorer = BeamScorer(model, [[10, 11, 12, PAD], [13, 14]])
+    logprobs = scorer.step_logprobs([[[]], [[]]])
     arrays = {"pad mask": Seq2SeqModel.pad_mask(src), "log-probs": logprobs,
               "self mask": scorer._self_mask, "cross mask": scorer._cross_mask}
     for name, param in model.params.items():

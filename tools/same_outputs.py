@@ -37,8 +37,12 @@ echo is therefore the same on both sides. For each config the matrix is:
 
 The stdout of every command is kept under `stdout/`, and each `log.json`
 is written again without its `wall_clock_sec`, the one field that reads
-a clock. Then `diff -r WORK/parent WORK/change` runs; the script exits 0
-when it prints nothing.
+a clock. Then `diff -r WORK/parent WORK/change` runs, and one line per
+file class follows it, with how many files of that class are identical
+and how many differ (or exist on one side only): checkpoints, training
+curves, `log.json`, `report.json`, sample stores, stdout, gen-bugs
+outputs, review candidates, repair patches, and every other file. The
+script exits 0 when every file is identical.
 
 Configs: `criterion8` is the end-to-end determinism config of
 `tests/test_acceptance.py` (tiny preset at d_model 16, one epoch), under
@@ -50,6 +54,7 @@ gives those critics something to keep.
 from __future__ import annotations
 
 import argparse
+import filecmp
 import glob
 import json
 import os
@@ -167,6 +172,34 @@ def strip_wall_clock(out: Path) -> None:
         path.write_text(json.dumps(log, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+# (class, test on a file's path relative to the output root), first match wins
+FILE_CLASSES = (
+    ("checkpoint", lambda path: path.suffix == ".ckpt"),
+    ("curves", lambda path: path.name == "curves.json"),
+    ("log.json", lambda path: path.name == "log.json"),
+    ("report.json", lambda path: path.name == "report.json"),
+    ("store", lambda path: path.name == "store.jsonl"),
+    ("stdout", lambda path: path.parts[0] == "stdout"),
+    ("review", lambda path: "review" in path.parts[:-1]),
+    ("bugs", lambda path: any(part.startswith("bugs-") for part in path.parts[:-1])),
+    ("patches", lambda path: any(part.startswith("repair") for part in path.parts[:-1])),
+    ("other", lambda path: True),
+)
+
+
+def class_summary(parent: Path, change: Path) -> list[str]:
+    """One line per file class: files identical on both sides, and files
+    that differ or exist on one side only."""
+    paths = {p.relative_to(root) for root in (parent, change) for p in root.rglob("*") if p.is_file()}
+    counts = {name: [0, 0] for name, _ in FILE_CLASSES}
+    for path in paths:
+        name = next(name for name, matches in FILE_CLASSES if matches(path))
+        a, b = parent / path, change / path
+        same = a.is_file() and b.is_file() and filecmp.cmp(a, b, shallow=False)
+        counts[name][0 if same else 1] += 1
+    return [f"{name}: {same} identical, {different} different" for name, (same, different) in counts.items()]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="parent source tree (from git archive)")
@@ -191,6 +224,7 @@ def main(argv=None) -> int:
         out.rename(work / side)
     files = sum(1 for p in (work / "change").rglob("*") if p.is_file())
     code = subprocess.run(["diff", "-r", str(work / "parent"), str(work / "change")]).returncode
+    print("\n".join(class_summary(work / "parent", work / "change")))
     verdict = "identical" if code == 0 else "DIFFERENT"
     print(f"{verdict}: {files} files under {work / 'change'} against {work / 'parent'}")
     return code
