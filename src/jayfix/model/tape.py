@@ -53,9 +53,9 @@ class Tensor:
         return self.data.shape
 
     def accumulate(self, grad: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+        # keeps the first array it is handed and adds later ones out of
+        # place: the array may be another node's gradient or a view of it
+        self.grad = grad if self.grad is None else self.grad + grad
 
     def item(self) -> float:
         return float(self.data)
