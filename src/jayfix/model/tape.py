@@ -3,16 +3,29 @@
 Just enough machinery for an encoder-decoder transformer: broadcasted
 add/mul, batched matmul (one GEMM over the rows when the right operand
 is a 2-D weight), relu, embedding gather, fused layer-norm,
-fused softmax, masked token cross-entropy, reshape/transpose, and
-inverted dropout. Everything computes in one dtype, `DTYPE` (float32):
-every Tensor's data is cast to it, and every array an op mixes into its
-output (masks, dropout keep masks, constants) is built in it, so no op
+fused softmax, masked token cross-entropy, reshape/transpose,
+inverted dropout, and two ops that move rows between layouts:
+`scatter_rows` lays packed rows (N, ...) out in their padded grid
+(B, L, ...) with zeros elsewhere, and `gather_rows` takes them back out
+(`Rows` says which cells are real). Position-wise layers run on the
+packed rows, attention on the grid.
+
+Everything computes in one dtype, `DTYPE` (float32): every Tensor's
+data is cast to it, and every array an op mixes into its output
+(masks, dropout keep masks, constants) is built in it, so no op
 upcasts. Results are deterministic per dtype. Finite-difference
 gradient checks need float64's headroom; they switch `DTYPE` before
 building a model.
 
 Graphs are built eagerly; ``backward(loss)`` walks the tape in reverse
 topological order. Wrap inference in ``no_grad()`` to skip bookkeeping.
+
+Gradient ownership: `Tensor.accumulate` keeps the first gradient array
+a tensor is handed, without a copy, and adds any later one out of place.
+The array it keeps may also be another tensor's gradient (`add` hands
+the same array to both parents) or a view of one (`reshape`,
+`transpose`). So no backward writes into an array it was handed, and
+nothing writes into a `.grad`.
 """
 
 from __future__ import annotations
@@ -178,6 +191,48 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     return _make(out_data, (x,), backward)
 
 
+class Rows:
+    """Where the rows of a packed tensor (N, ...) sit in a padded grid
+    (B, L, ...): `batch` and `position` (each (N,)) are the grid cells of
+    the true cells of `real` (B, L), in row-major order."""
+
+    __slots__ = ("grid", "batch", "position")
+
+    def __init__(self, real: np.ndarray):
+        self.grid: tuple[int, int] = real.shape
+        self.batch, self.position = np.nonzero(real)
+
+    def __len__(self) -> int:
+        return len(self.batch)
+
+
+def scatter_rows(x: Tensor, rows: Rows) -> Tensor:
+    """Packed rows (N, ...) laid out in their padded grid (B, L, ...),
+    with zeros in every other cell."""
+    out_data = np.zeros(rows.grid + x.data.shape[1:], dtype=DTYPE)
+    out_data[rows.batch, rows.position] = x.data
+
+    def backward(grad: np.ndarray) -> None:
+        if x.requires_grad:
+            x.accumulate(grad[rows.batch, rows.position])
+
+    return _make(out_data, (x,), backward)
+
+
+def gather_rows(x: Tensor, rows: Rows) -> Tensor:
+    """The packed rows (N, ...) of a padded grid (B, L, ...); the inverse
+    of `scatter_rows`."""
+    out_data = x.data[rows.batch, rows.position]
+
+    def backward(grad: np.ndarray) -> None:
+        if x.requires_grad:
+            full = np.zeros(x.data.shape, dtype=DTYPE)
+            full[rows.batch, rows.position] = grad
+            x.accumulate(full)
+
+    return _make(out_data, (x,), backward)
+
+
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
@@ -232,11 +287,19 @@ def softmax(x: Tensor, additive_mask: Optional[np.ndarray] = None) -> Tensor:
     return _make(out_data, (x,), backward)
 
 
-def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator], train: bool) -> Tensor:
+def dropout(
+    x: Tensor, p: float, rng: Optional[np.random.Generator], train: bool, rows: Optional[Rows] = None
+) -> Tensor:
+    """Inverted dropout. For packed rows the keep mask is drawn over their
+    padded grid and then gathered, so the random stream and the mask of
+    every real cell are those of the padded tensor."""
     if not train or p <= 0.0:
         return x
     assert rng is not None
-    keep = (rng.random(x.data.shape) >= p).astype(DTYPE) / (1.0 - p)
+    shape = x.data.shape if rows is None else rows.grid + x.data.shape[1:]
+    keep = (rng.random(shape) >= p).astype(DTYPE) / (1.0 - p)
+    if rows is not None:
+        keep = keep[rows.batch, rows.position]
     out_data = x.data * keep
 
     def backward(grad: np.ndarray) -> None:

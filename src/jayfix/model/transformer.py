@@ -4,6 +4,14 @@ Pre-norm residual blocks, learned positional embeddings, multi-head
 attention, ReLU feed-forward, untied output projection. Two instances
 of this class play the fixer and breaker roles; they share architecture
 and never weights.
+
+Teacher-forced passes (`encode`, `decode`, `loss`) compute on real
+tokens only: the embeddings, layer norms, projections, feed-forward
+layers, residual adds, output projection and cross-entropy run on
+packed rows, one per non-PAD source token and one per target position
+up to and including EOS. Attention runs on the padded (B, H, L, Dh)
+grid under the PAD and causal masks. (ByteTransformer, Zhai et al.,
+IPDPS 2023, lays out a transformer the same way.)
 """
 
 from __future__ import annotations
@@ -131,16 +139,21 @@ class Seq2SeqModel:
             self.params[name].data = np.array(array, dtype=tape.DTYPE)
 
     # --- building blocks ---
+    #
+    # `rows` (a `tape.Rows`) places packed rows (N, D) in their padded
+    # grid; with `rows` None a tensor is the whole grid, (B, L, D), as in
+    # `decode_step`.
 
-    def _heads(self, x: Tensor) -> Tensor:
-        """(B, L, D) -> (B, H, L, Dh)."""
+    def _project(self, prefix: str, name: str, x: Tensor, rows: Optional[tape.Rows] = None) -> Tensor:
+        """Heads (B, H, L, Dh) of x's projection."""
         c = self.config
-        batch, length = x.shape[0], x.shape[1]
-        x = tape.reshape(x, (batch, length, c.n_heads, c.d_model // c.n_heads))
-        return tape.transpose(x, (0, 2, 1, 3))
-
-    def _project(self, prefix: str, name: str, x: Tensor) -> Tensor:
-        return self._heads(tape.matmul(x, self.params[f"{prefix}.{name}"]))
+        y = tape.matmul(x, self.params[f"{prefix}.{name}"])
+        heads = (c.n_heads, c.d_model // c.n_heads)
+        if rows is None:
+            y = tape.reshape(y, y.shape[:2] + heads)
+        else:
+            y = tape.scatter_rows(tape.reshape(y, (len(rows),) + heads), rows)
+        return tape.transpose(y, (0, 2, 1, 3))
 
     def _attend(
         self,
@@ -151,9 +164,11 @@ class Seq2SeqModel:
         additive_mask: Optional[np.ndarray],
         train: bool,
         rng: Optional[np.random.Generator],
+        rows: Optional[tape.Rows] = None,
     ) -> Tensor:
         """Attention over projected heads, (B, H, Lq, Dh) queries against
-        (B, H, Lk, Dh) keys and values, through the output projection."""
+        (B, H, Lk, Dh) keys and values, through the output projection of
+        the queries' `rows`."""
         c = self.config
         batch, q_len = q.shape[0], q.shape[2]
         d_head = c.d_model // c.n_heads
@@ -162,34 +177,48 @@ class Seq2SeqModel:
         weights = tape.dropout(weights, c.dropout, rng, train)
         context = tape.matmul(weights, v)  # (B, H, Lq, Dh)
         context = tape.transpose(context, (0, 2, 1, 3))
-        context = tape.reshape(context, (batch, q_len, c.d_model))
+        if rows is None:
+            context = tape.reshape(context, (batch, q_len, c.d_model))
+        else:
+            context = tape.reshape(tape.gather_rows(context, rows), (len(rows), c.d_model))
         return tape.matmul(context, self.params[f"{prefix}.wo"])
 
     def _attention(
         self,
         prefix: str,
         query: Tensor,
+        query_rows: tape.Rows,
         key_value: Tensor,
-        additive_mask: Optional[np.ndarray],
+        key_rows: tape.Rows,
+        additive_mask: np.ndarray,
         train: bool,
         rng: Optional[np.random.Generator],
     ) -> Tensor:
-        q = self._project(prefix, "wq", query)
-        k = self._project(prefix, "wk", key_value)
-        v = self._project(prefix, "wv", key_value)
-        return self._attend(prefix, q, k, v, additive_mask, train, rng)
+        q = self._project(prefix, "wq", query, query_rows)
+        k = self._project(prefix, "wk", key_value, key_rows)
+        v = self._project(prefix, "wv", key_value, key_rows)
+        return self._attend(prefix, q, k, v, additive_mask, train, rng, query_rows)
 
-    def _ffn(self, prefix: str, x: Tensor, train: bool, rng) -> Tensor:
+    def _ffn(self, prefix: str, x: Tensor, train: bool, rng, rows: Optional[tape.Rows] = None) -> Tensor:
         hidden = tape.relu(tape.add(tape.matmul(x, self.params[f"{prefix}.w1"]), self.params[f"{prefix}.b1"]))
-        hidden = tape.dropout(hidden, self.config.dropout, rng, train)
+        hidden = tape.dropout(hidden, self.config.dropout, rng, train, rows)
         return tape.add(tape.matmul(hidden, self.params[f"{prefix}.w2"]), self.params[f"{prefix}.b2"])
 
     def _ln(self, prefix: str, x: Tensor) -> Tensor:
         return tape.layer_norm(x, self.params[f"{prefix}.g"], self.params[f"{prefix}.b"])
 
+    def _embed(self, prefix: str, ids: np.ndarray, rows: tape.Rows) -> Tensor:
+        """Token plus position embeddings of the packed rows."""
+        return tape.add(
+            tape.embedding(self.params[f"{prefix}.tok_emb"], ids[rows.batch, rows.position]),
+            tape.embedding(self.params[f"{prefix}.pos_emb"], rows.position),
+        )
+
     # --- encoder / decoder ---
 
     def encode(self, src_ids: np.ndarray, train: bool = False, rng=None) -> Tensor:
+        """Encoder memory (N, D): a row per non-PAD source token, in
+        row-major order (`source_rows`)."""
         c = self.config
         src_ids = np.asarray(src_ids, dtype=np.int64)
         if src_ids.ndim != 2:
@@ -198,19 +227,15 @@ class Seq2SeqModel:
             raise ValueError(f"source length {src_ids.shape[1]} exceeds {c.max_src_len}")
         if src_ids.size and src_ids.max() >= c.vocab_size:
             raise ValueError("token id out of range")
-        positions = np.arange(src_ids.shape[1])
-        x = tape.add(
-            tape.embedding(self.params["enc.tok_emb"], src_ids),
-            tape.embedding(self.params["enc.pos_emb"], positions),
-        )
-        x = tape.dropout(x, c.dropout, rng, train)
+        rows = self.source_rows(src_ids)
+        x = tape.dropout(self._embed("enc", src_ids, rows), c.dropout, rng, train, rows)
         mask = self.pad_mask(src_ids)
         for i in range(c.n_encoder_layers):
             normed = self._ln(f"enc.{i}.ln1", x)
-            attn = self._attention(f"enc.{i}.self", normed, normed, mask, train, rng)
-            x = tape.add(x, tape.dropout(attn, c.dropout, rng, train))
-            ffn = self._ffn(f"enc.{i}.ffn", self._ln(f"enc.{i}.ln2", x), train, rng)
-            x = tape.add(x, tape.dropout(ffn, c.dropout, rng, train))
+            attn = self._attention(f"enc.{i}.self", normed, rows, normed, rows, mask, train, rng)
+            x = tape.add(x, tape.dropout(attn, c.dropout, rng, train, rows))
+            ffn = self._ffn(f"enc.{i}.ffn", self._ln(f"enc.{i}.ln2", x), train, rng, rows)
+            x = tape.add(x, tape.dropout(ffn, c.dropout, rng, train, rows))
         return self._ln("enc.ln_final", x)
 
     def decode(
@@ -218,44 +243,53 @@ class Seq2SeqModel:
         memory: Tensor,
         src_ids: np.ndarray,
         tgt_in_ids: np.ndarray,
+        lengths: np.ndarray,
         train: bool = False,
         rng=None,
     ) -> Tensor:
-        """Decoder logits (B, T, V) given encoder memory."""
+        """Teacher-forced decoder logits (N, V) given encoder memory: a row
+        per position t < lengths[b] of each target row b, in row-major
+        order. A PAD token inside those positions keeps its row and, as a
+        key, is masked."""
         c = self.config
         tgt_in_ids = np.asarray(tgt_in_ids, dtype=np.int64)
+        lengths = np.asarray(lengths, dtype=np.int64)
         if tgt_in_ids.ndim != 2:
             raise ValueError("tgt_in_ids must be (batch, length)")
-        if tgt_in_ids.shape[1] > c.max_tgt_len + 1:
-            raise ValueError(f"target length {tgt_in_ids.shape[1]} exceeds {c.max_tgt_len + 1}")
+        t = tgt_in_ids.shape[1]
+        if t > c.max_tgt_len + 1:
+            raise ValueError(f"target length {t} exceeds {c.max_tgt_len + 1}")
+        if lengths.shape != tgt_in_ids.shape[:1] or lengths.min(initial=0) < 0 or lengths.max(initial=0) > t:
+            raise ValueError("lengths must be one per target row, each in [0, length]")
         if tgt_in_ids.size and tgt_in_ids.max() >= c.vocab_size:
             raise ValueError("token id out of range")
-        t = tgt_in_ids.shape[1]
-        positions = np.arange(t)
-        y = tape.add(
-            tape.embedding(self.params["dec.tok_emb"], tgt_in_ids),
-            tape.embedding(self.params["dec.pos_emb"], positions),
-        )
-        y = tape.dropout(y, c.dropout, rng, train)
+        rows = tape.Rows(np.arange(t) < lengths[:, None])
+        src_rows = self.source_rows(np.asarray(src_ids))
+        if memory.shape[0] != len(src_rows):
+            raise ValueError(f"memory has {memory.shape[0]} rows for {len(src_rows)} source tokens")
+        y = tape.dropout(self._embed("dec", tgt_in_ids, rows), c.dropout, rng, train, rows)
         causal = np.triu(np.full((t, t), NEG_INF, dtype=tape.DTYPE), k=1)[None, None, :, :]
         self_mask = causal + self.pad_mask(tgt_in_ids)
         cross_mask = self.pad_mask(src_ids)
         for i in range(c.n_decoder_layers):
             normed = self._ln(f"dec.{i}.ln1", y)
-            attn = self._attention(f"dec.{i}.self", normed, normed, self_mask, train, rng)
-            y = tape.add(y, tape.dropout(attn, c.dropout, rng, train))
-            cross = self._attention(f"dec.{i}.cross", self._ln(f"dec.{i}.ln2", y), memory, cross_mask, train, rng)
-            y = tape.add(y, tape.dropout(cross, c.dropout, rng, train))
-            ffn = self._ffn(f"dec.{i}.ffn", self._ln(f"dec.{i}.ln3", y), train, rng)
-            y = tape.add(y, tape.dropout(ffn, c.dropout, rng, train))
+            attn = self._attention(f"dec.{i}.self", normed, rows, normed, rows, self_mask, train, rng)
+            y = tape.add(y, tape.dropout(attn, c.dropout, rng, train, rows))
+            normed = self._ln(f"dec.{i}.ln2", y)
+            cross = self._attention(f"dec.{i}.cross", normed, rows, memory, src_rows, cross_mask, train, rng)
+            y = tape.add(y, tape.dropout(cross, c.dropout, rng, train, rows))
+            ffn = self._ffn(f"dec.{i}.ffn", self._ln(f"dec.{i}.ln3", y), train, rng, rows)
+            y = tape.add(y, tape.dropout(ffn, c.dropout, rng, train, rows))
         y = self._ln("dec.ln_final", y)
         return tape.add(tape.matmul(y, self.params["out.w"]), self.params["out.b"])
 
-    def cross_attention_kv(self, memory: Tensor) -> list[tuple[Tensor, Tensor]]:
+    def cross_attention_kv(self, memory: Tensor, src_ids: np.ndarray) -> list[tuple[Tensor, Tensor]]:
         """Each decoder layer's cross-attention keys and values over the
-        encoder memory, (B, H, S, Dh), for `decode_step`."""
+        encoder memory of `src_ids`, (B, H, S, Dh) with zeros at PAD, for
+        `decode_step`."""
+        rows = self.source_rows(src_ids)
         return [
-            (self._project(f"dec.{i}.cross", "wk", memory), self._project(f"dec.{i}.cross", "wv", memory))
+            tuple(self._project(f"dec.{i}.cross", name, memory, rows) for name in ("wk", "wv"))
             for i in range(self.config.n_decoder_layers)
         ]
 
@@ -316,6 +350,11 @@ class Seq2SeqModel:
         return tape.add(tape.matmul(y, self.params["out.w"]), self.params["out.b"]).data[:, 0, :]
 
     @staticmethod
+    def source_rows(src_ids: np.ndarray) -> tape.Rows:
+        """The encoder's packed rows: every non-PAD source token."""
+        return tape.Rows(src_ids != PAD)
+
+    @staticmethod
     def pad_mask(ids: np.ndarray) -> np.ndarray:
         """(B, 1, 1, L) additive mask hiding PAD positions."""
         return np.where(ids[:, None, None, :] == PAD, tape.DTYPE(NEG_INF), tape.DTYPE(0.0))
@@ -323,10 +362,11 @@ class Seq2SeqModel:
     # --- convenience surfaces ---
 
     def forward_logits(
-        self, src_ids: np.ndarray, tgt_in_ids: np.ndarray, train: bool = False, rng=None
+        self, src_ids: np.ndarray, tgt_in_ids: np.ndarray, lengths: np.ndarray, train: bool = False, rng=None
     ) -> Tensor:
+        """Logits (N, V) of `decode`'s rows."""
         memory = self.encode(src_ids, train, rng)
-        return self.decode(memory, src_ids, tgt_in_ids, train, rng)
+        return self.decode(memory, src_ids, tgt_in_ids, lengths, train, rng)
 
     def loss(
         self,
@@ -336,9 +376,14 @@ class Seq2SeqModel:
         train: bool = True,
         rng=None,
     ) -> Tensor:
-        logits = self.forward_logits(src_ids, tgt_in_ids, train, rng)
-        mask = np.asarray(tgt_out_ids) != PAD
-        return tape.cross_entropy(logits, tgt_out_ids, mask)
+        """Mean cross-entropy over the non-PAD targets. The decoder runs on
+        each row's positions up to its last non-PAD target (EOS)."""
+        real = np.asarray(tgt_out_ids) != PAD
+        width = real.shape[1]
+        lengths = np.where(real.any(axis=1), width - np.argmax(real[:, ::-1], axis=1), 0)
+        logits = self.forward_logits(src_ids, tgt_in_ids, lengths, train, rng)
+        targets = np.asarray(tgt_out_ids)[np.arange(width) < lengths[:, None]]
+        return tape.cross_entropy(logits, targets, targets != PAD)
 
 
 class BeamScorer:
@@ -374,7 +419,7 @@ class BeamScorer:
             for index, tokens in enumerate(sources):
                 src[index, : len(tokens)] = tokens
                 one = np.asarray([tokens], dtype=np.int64)
-                for padded, projected in zip(kv, model.cross_attention_kv(model.encode(one))):
+                for padded, projected in zip(kv, model.cross_attention_kv(model.encode(one), one)):
                     for into, tensor in zip(padded, projected):
                         into[index, :, : len(tokens)] = tensor.data[0]
         self._cross_kv = [(Tensor(keys), Tensor(values)) for keys, values in kv]

@@ -1,7 +1,8 @@
 """Test-only helpers with no caller in `src/`: a seeded toy scorer, the
-per-source beam search and a brute-force top-K as oracles, a compile
-check, a region's text, a corruption-rule lookup, and
-repair tasks built from mechanical bugs."""
+per-source beam search and a brute-force top-K as oracles, the padded
+teacher-forced model as the oracle of the packed one, a compile check,
+a region's text, a corruption-rule lookup, and repair tasks built from
+mechanical bugs."""
 
 from __future__ import annotations
 
@@ -13,8 +14,9 @@ from jayfix.corpus import CorpusEntry
 from jayfix.evaluate import RepairTask
 from jayfix.mechanical import DEFAULT_RULES, CorruptionRule, MechanicalBug
 from jayfix.minilang import SourceProgram, Span, analyze
-from jayfix.model import BeamCandidate
+from jayfix.model import BeamCandidate, Seq2SeqModel, tape
 from jayfix.model.beam import Scorer, _top_extensions
+from jayfix.model.transformer import NEG_INF
 from jayfix.representation import BOS, EOS, PAD
 
 
@@ -111,6 +113,68 @@ def exhaustive_top_k(
         BeamCandidate(tokens=tokens, log_prob=log_prob, rank=i + 1)
         for i, (tokens, log_prob) in enumerate(complete[:k])
     ]
+
+
+# --- the padded model -----------------------------------------------------------
+#
+# `Seq2SeqModel.encode`, `decode` and `loss` as they ran before they
+# packed their rows: every position-wise layer over the whole padded
+# grid (B, L, D), PAD positions included, with the masks discarding
+# them afterwards. Attention and the parameters are the model's own.
+
+
+def _padded_attention(model: Seq2SeqModel, prefix, query, key_value, mask, train, rng):
+    q, k, v = (model._project(prefix, name, x) for name, x in
+               (("wq", query), ("wk", key_value), ("wv", key_value)))
+    return model._attend(prefix, q, k, v, mask, train, rng)
+
+
+def _padded_embed(model: Seq2SeqModel, prefix: str, ids: np.ndarray, train, rng):
+    x = tape.add(
+        tape.embedding(model.params[f"{prefix}.tok_emb"], ids),
+        tape.embedding(model.params[f"{prefix}.pos_emb"], np.arange(ids.shape[1])),
+    )
+    return tape.dropout(x, model.config.dropout, rng, train)
+
+
+def padded_encode(model: Seq2SeqModel, src_ids: np.ndarray, train=False, rng=None) -> tape.Tensor:
+    """Encoder memory over the padded grid, (B, S, D)."""
+    c = model.config
+    x = _padded_embed(model, "enc", src_ids, train, rng)
+    mask = model.pad_mask(src_ids)
+    for i in range(c.n_encoder_layers):
+        normed = model._ln(f"enc.{i}.ln1", x)
+        attn = _padded_attention(model, f"enc.{i}.self", normed, normed, mask, train, rng)
+        x = tape.add(x, tape.dropout(attn, c.dropout, rng, train))
+        ffn = model._ffn(f"enc.{i}.ffn", model._ln(f"enc.{i}.ln2", x), train, rng)
+        x = tape.add(x, tape.dropout(ffn, c.dropout, rng, train))
+    return model._ln("enc.ln_final", x)
+
+
+def padded_decode(model: Seq2SeqModel, memory, src_ids, tgt_in_ids, train=False, rng=None) -> tape.Tensor:
+    """Decoder logits over the padded grid, (B, T, V)."""
+    c = model.config
+    t = tgt_in_ids.shape[1]
+    y = _padded_embed(model, "dec", tgt_in_ids, train, rng)
+    causal = np.triu(np.full((t, t), NEG_INF, dtype=tape.DTYPE), k=1)[None, None, :, :]
+    self_mask = causal + model.pad_mask(tgt_in_ids)
+    cross_mask = model.pad_mask(src_ids)
+    for i in range(c.n_decoder_layers):
+        normed = model._ln(f"dec.{i}.ln1", y)
+        attn = _padded_attention(model, f"dec.{i}.self", normed, normed, self_mask, train, rng)
+        y = tape.add(y, tape.dropout(attn, c.dropout, rng, train))
+        cross = _padded_attention(model, f"dec.{i}.cross", model._ln(f"dec.{i}.ln2", y), memory,
+                                  cross_mask, train, rng)
+        y = tape.add(y, tape.dropout(cross, c.dropout, rng, train))
+        ffn = model._ffn(f"dec.{i}.ffn", model._ln(f"dec.{i}.ln3", y), train, rng)
+        y = tape.add(y, tape.dropout(ffn, c.dropout, rng, train))
+    y = model._ln("dec.ln_final", y)
+    return tape.add(tape.matmul(y, model.params["out.w"]), model.params["out.b"])
+
+
+def padded_loss(model: Seq2SeqModel, src_ids, tgt_in_ids, tgt_out_ids, train=True, rng=None) -> tape.Tensor:
+    logits = padded_decode(model, padded_encode(model, src_ids, train, rng), src_ids, tgt_in_ids, train, rng)
+    return tape.cross_entropy(logits, tgt_out_ids, tgt_out_ids != PAD)
 
 
 def compiles(source: SourceProgram | str) -> bool:

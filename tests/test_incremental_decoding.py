@@ -53,15 +53,16 @@ class FullRecomputeScorer:
 
     def _one_source(self, src, memory, prefixes):
         batch = len(prefixes)
-        tgt_in = np.full((batch, max(len(p) for p in prefixes) + 1), PAD, dtype=np.int64)
+        lengths = np.asarray([len(p) + 1 for p in prefixes])
+        tgt_in = np.full((batch, lengths.max()), PAD, dtype=np.int64)
         for row, prefix in enumerate(prefixes):
             tgt_in[row, 0] = BOS
             tgt_in[row, 1 : 1 + len(prefix)] = prefix
         with tape.no_grad():
-            memory = tape.Tensor(np.repeat(memory.data, batch, axis=0))
-            logits = self.model.decode(memory, np.repeat(src, batch, axis=0), tgt_in).data
-        last = [len(p) for p in prefixes]
-        return tape.log_softmax_last(logits[np.arange(batch), last, :])
+            # the packed memory of `batch` copies of the source
+            memory = tape.Tensor(np.tile(memory.data, (batch, 1)))
+            logits = self.model.decode(memory, np.repeat(src, batch, axis=0), tgt_in, lengths).data
+        return tape.log_softmax_last(logits[np.cumsum(lengths) - 1])
 
 
 class Differential:

@@ -262,11 +262,12 @@ def test_float64_checkpoint_loads_cast_once(tmp_path, monkeypatch):
     for name, array in stored.items():
         assert loaded.params[name].data.dtype == np.float32
         assert np.array_equal(loaded.params[name].data, array.astype(np.float32)), name
-    src, tgt_in, _ = make_batch(make_samples(3, seed=5))
+    src, tgt_in, tgt_out = make_batch(make_samples(3, seed=5))
+    lengths = (tgt_out != PAD).sum(axis=1)
     with tape.no_grad():
-        logits = loaded.forward_logits(src, tgt_in).data
+        logits = loaded.forward_logits(src, tgt_in, lengths).data
         assert logits.dtype == np.float32
-        assert np.array_equal(logits, cast.forward_logits(src, tgt_in).data)
+        assert np.array_equal(logits, cast.forward_logits(src, tgt_in, lengths).data)
 
 
 def test_checkpoint_rejects_wrong_files(tmp_path):
