@@ -273,13 +273,20 @@ STORE_FORMAT = 1
 
 class SampleStore:
     """Append-only deduplicated store, persisted as header + length-prefixed
-    JSON lines (`<byte length>\\t<json>`). One writer, many readers."""
+    JSON lines (`<byte length>\\t<json>`). One writer, many readers.
+
+    Loading stops at the first record that is not whole (a torn tail
+    write). The first append cuts the file back to the last whole record,
+    so that what it writes is read back by every later load."""
 
     def __init__(self, path: str | Path, vocab_sha: str | None = None):
         self.path = Path(path)
         self.samples: list[TrainingSample] = []
         self._keys: set[str] = set()
         self.vocab_sha = vocab_sha
+        # byte offset where the last whole record's content ends, when the
+        # file holds anything after it but that record's newline
+        self._mend_at: int | None = None
         if self.path.exists():
             self._load()
         else:
@@ -293,9 +300,9 @@ class SampleStore:
                 os.fsync(fh.fileno())
 
     def _load(self) -> None:
-        with open(self.path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-        if not lines or not lines[0]:
+        data = self.path.read_bytes()
+        lines = data.split(b"\n")
+        if not lines[0]:
             raise CorpusError(f"{self.path}: empty store file")
         header = json.loads(lines[0])
         if header.get("format") != STORE_FORMAT:
@@ -305,20 +312,25 @@ class SampleStore:
             raise CorpusError(f"{self.path}: store was built with a different vocabulary")
         if stored_sha is not None:
             self.vocab_sha = stored_sha
+        whole_end = start = len(lines[0])
         for line in lines[1:]:
-            if not line:
-                continue
-            try:
-                prefix, payload = line.split("\t", 1)
-                if int(prefix) != len(payload.encode("utf-8")):
-                    break  # torn tail write: ignore from here on
-                sample = TrainingSample.from_json(json.loads(payload))
-            except (ValueError, KeyError, json.JSONDecodeError):
-                break
-            key = sample.content_key()
-            if key not in self._keys:
-                self._keys.add(key)
-                self.samples.append(sample)
+            start += 1  # the newline before this line
+            if line:
+                try:
+                    prefix, payload = line.split(b"\t", 1)
+                    if int(prefix) != len(payload):
+                        break  # torn tail write: ignore from here on
+                    sample = TrainingSample.from_json(json.loads(payload))
+                except (ValueError, KeyError, json.JSONDecodeError):
+                    break
+                key = sample.content_key()
+                if key not in self._keys:
+                    self._keys.add(key)
+                    self.samples.append(sample)
+                whole_end = start + len(line)
+            start += len(line)
+        if len(data) != whole_end + 1:
+            self._mend_at = whole_end
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -334,10 +346,14 @@ class SampleStore:
             self._keys.add(key)
             fresh.append(sample)
         if fresh:
-            with open(self.path, "a", encoding="utf-8") as fh:
+            with open(self.path, "ab") as fh:
+                if self._mend_at is not None:
+                    fh.truncate(self._mend_at)
+                    fh.write(b"\n")
+                    self._mend_at = None
                 for sample in fresh:
-                    payload = json.dumps(sample.to_json(), sort_keys=True)
-                    fh.write(f"{len(payload.encode('utf-8'))}\t{payload}\n")
+                    payload = json.dumps(sample.to_json(), sort_keys=True).encode("utf-8")
+                    fh.write(b"%d\t%s\n" % (len(payload), payload))
                 fh.flush()
                 os.fsync(fh.fileno())
             self.samples.extend(fresh)

@@ -47,10 +47,11 @@ from .parser import parse, try_parse
 from .pretty import format_expression, format_statement, pretty_print
 from .typecheck import BUILTINS, typecheck
 
-# Deep-but-bounded recursion (nested expressions, call chains) must not
-# crash the host process before the language-level limits kick in: the
-# parser caps expression depth and the interpreter caps call depth, and
-# this limit gives their recursive walks the headroom they need.
+# Deep-but-bounded nesting must not crash the host process before the
+# language-level limits kick in: the parser caps expression depth, and
+# this limit gives the recursive walks over the AST (parser, typechecker,
+# printer) the headroom they need. The interpreter caps call depth and
+# sizes the limit for each run from the program (`interp.stack_room`).
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 5_000))
 
 

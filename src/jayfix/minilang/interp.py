@@ -18,6 +18,8 @@ take its length does not copy it.
 from __future__ import annotations
 
 import operator
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Optional
@@ -104,12 +106,48 @@ def _trunc_div(a: int, b: int) -> int:
 
 
 class _Program:
-    """A compiled program: each function's arity and `run(args, state)`."""
+    """A compiled program: each function's arity and `run(args, state)`,
+    and the most statements and expressions nested inside one another in
+    any function body."""
 
     def __init__(self, ast: Ast):
         decls = {fn.name: fn for fn in ast.functions}
         self.arity = {name: len(fn.params) for name, fn in decls.items()}
-        self.functions = {name: _Compiler(self.arity).function(fn) for name, fn in decls.items()}
+        self.functions = {}
+        self.nesting = 0
+        for name, fn in decls.items():
+            compiler = _Compiler(self.arity)
+            self.functions[name] = compiler.function(fn)
+            self.nesting = max(self.nesting, compiler.deepest)
+
+    @property
+    def frames_per_call(self) -> int:
+        """The Python frames one call can stack up: its `run`, then at each
+        level of nesting the node's closure and, for a call or an array
+        literal, the comprehension that evaluates its items."""
+        return 1 + 2 * self.nesting
+
+
+# Python frames a run may need besides its calls: the caller's, and the
+# helpers a closure calls at the deepest point (comparisons, division)
+_FRAME_HEADROOM = 50
+
+
+@contextmanager
+def stack_room(frames_per_call: int):
+    """Raise Python's recursion limit, for the duration, to what
+    MAX_CALL_DEPTH nested calls of `frames_per_call` frames each need from
+    here, so that the depth check binds rather than the host's limit;
+    then restore it."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, depth + (MAX_CALL_DEPTH + 1) * frames_per_call + _FRAME_HEADROOM))
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 class _Run:
@@ -151,6 +189,15 @@ class _Compiler:
         self.arity = arity
         self.scopes: list[dict[str, int]] = [{}]
         self.slots = 0
+        self.level = 0  # statements and expressions around the node being compiled
+        self.deepest = 0
+
+    def _nested(self, compile_node, node, *args):
+        self.level += 1
+        self.deepest = max(self.deepest, self.level)
+        compiled = compile_node(node, *args)
+        self.level -= 1
+        return compiled
 
     def declare(self, name: str) -> int:
         scope = self.scopes[-1]
@@ -197,6 +244,9 @@ class _Compiler:
     # --- statements
 
     def statement(self, stmt):
+        return self._nested(self._statement, stmt)
+
+    def _statement(self, stmt):
         if isinstance(stmt, Let):
             value = self.expr(stmt.value)  # before the new name is in scope
             return _store(self.declare(stmt.name), value)
@@ -247,7 +297,7 @@ class _Compiler:
         if isinstance(stmt.else_branch, Block):
             otherwise = self.block(stmt.else_branch)
         elif isinstance(stmt.else_branch, If):
-            otherwise = (self.if_(stmt.else_branch),)  # an `else if` is charged as a statement
+            otherwise = (self.statement(stmt.else_branch),)  # an `else if` is charged as a statement
 
         def ex(f, r):
             r.fuel -= 1
@@ -285,6 +335,9 @@ class _Compiler:
     def expr(self, expr, copy: bool = True):
         """`copy=False` compiles a variable read whose array is only
         indexed or measured, so it is not copied."""
+        return self._nested(self._expr, expr, copy)
+
+    def _expr(self, expr, copy: bool):
         if isinstance(expr, (IntLit, BoolLit)):
             constant = expr.value
 
@@ -521,7 +574,9 @@ def interpret(
     fuel: int = DEFAULT_FUEL,
 ) -> ExecResult:
     """Run `entry(args)` under the given step budget."""
-    return _execute(_Program(ast), entry, args, fuel)
+    program = _Program(ast)
+    with stack_room(program.frames_per_call):
+        return _execute(program, entry, args, fuel)
 
 
 # --- test suites ----------------------------------------------------------
@@ -580,18 +635,19 @@ def run_tests(ast: Ast, suite: TestSuite, fuel: int = DEFAULT_FUEL) -> TestRepor
     program = _Program(ast)
     outcomes: list[tuple[str, CaseOutcome]] = []
     counts = {kind: 0 for kind in CaseOutcome}
-    for case in suite.cases:
-        result = _execute(program, case.entry, list(case.args), fuel)
-        if result.status is ExecStatus.FUEL_EXHAUSTED:
-            outcome = CaseOutcome.FUEL_EXHAUSTED
-        elif result.status is ExecStatus.RUNTIME_ERROR:
-            outcome = CaseOutcome.RUNTIME_ERROR
-        elif values_equal(result.value, case.expect):
-            outcome = CaseOutcome.PASS
-        else:
-            outcome = CaseOutcome.WRONG_VALUE
-        outcomes.append((case.id, outcome))
-        counts[outcome] += 1
-        if outcome is not CaseOutcome.PASS:
-            break
+    with stack_room(program.frames_per_call):
+        for case in suite.cases:
+            result = _execute(program, case.entry, list(case.args), fuel)
+            if result.status is ExecStatus.FUEL_EXHAUSTED:
+                outcome = CaseOutcome.FUEL_EXHAUSTED
+            elif result.status is ExecStatus.RUNTIME_ERROR:
+                outcome = CaseOutcome.RUNTIME_ERROR
+            elif values_equal(result.value, case.expect):
+                outcome = CaseOutcome.PASS
+            else:
+                outcome = CaseOutcome.WRONG_VALUE
+            outcomes.append((case.id, outcome))
+            counts[outcome] += 1
+            if outcome is not CaseOutcome.PASS:
+                break
     return TestReport(tuple(outcomes), counts)

@@ -182,6 +182,31 @@ def test_torn_tail_write_is_ignored(tmp_path):
     assert len(reloaded) == 3
 
 
+def test_appends_after_a_torn_tail_are_kept(tmp_path):
+    path = tmp_path / "store.jsonl"
+    SampleStore(path).append([make_sample(0)])
+    whole = path.read_bytes()
+    with open(path, "a") as fh:
+        fh.write('999\t{"direction": "fix", "input_tokens": [1')  # torn record
+    reopened = SampleStore(path)
+    assert len(reopened) == 1
+    assert path.read_text().endswith("[1")  # loading alone leaves the file as it is
+    assert reopened.append([make_sample(1), make_sample(2)]) == 2
+    assert path.read_bytes().startswith(whole)
+    reloaded = SampleStore(path)
+    assert [s.to_json() for s in reloaded.samples] == [make_sample(i).to_json() for i in range(3)]
+
+
+def test_a_whole_last_record_without_its_newline_is_kept(tmp_path):
+    path = tmp_path / "store.jsonl"
+    SampleStore(path).append([make_sample(0), make_sample(1)])
+    path.write_bytes(path.read_bytes()[:-1])
+    reopened = SampleStore(path)
+    assert len(reopened) == 2
+    assert reopened.append([make_sample(2)]) == 1
+    assert [s.to_json() for s in SampleStore(path).samples] == [make_sample(i).to_json() for i in range(3)]
+
+
 def test_header_format_is_validated(tmp_path):
     path = tmp_path / "store.jsonl"
     path.write_text('{"format": 99}\n')

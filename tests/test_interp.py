@@ -109,6 +109,44 @@ def test_runaway_recursion_is_a_runtime_error():
     assert result.status in (ExecStatus.RUNTIME_ERROR, ExecStatus.FUEL_EXHAUSTED)
 
 
+def nested_recursion(n_ifs: int) -> str:
+    """`f(n)` calls itself under `n_ifs` nested `if`s."""
+    opening = "".join("if (n > 0) { " for _ in range(n_ifs))
+    closing = "} " * n_ifs
+    return f"fn f(n: int) -> int {{ {opening}return 1 + f(n - 1); {closing}return 0; }}"
+
+
+def least_sufficient_fuel(run) -> int:
+    """The least fuel under which `run(fuel)` does not run out."""
+    low, high = 0, DEFAULT_FUEL
+    assert run(high).status is not ExecStatus.FUEL_EXHAUSTED
+    while high - low > 1:
+        middle = (low + high) // 2
+        if run(middle).status is ExecStatus.FUEL_EXHAUSTED:
+            low = middle
+        else:
+            high = middle
+    return high
+
+
+@pytest.mark.parametrize("n_ifs", [3, 20])
+def test_call_depth_check_binds_at_any_recursion_limit(n_ifs):
+    ast = parse(nested_recursion(n_ifs))
+    found = {}
+    limit = sys.getrecursionlimit()
+    try:
+        for host_limit in (1000, 20_000):
+            sys.setrecursionlimit(host_limit)
+            for name, run in (("compiled", interpret), ("tree walker", treewalk.interpret)):
+                result = run(ast, "f", [300])
+                assert result.status is ExecStatus.RUNTIME_ERROR and result.detail == "call depth exceeded"
+                found[name, host_limit] = least_sufficient_fuel(lambda fuel: run(ast, "f", [300], fuel=fuel))
+                assert sys.getrecursionlimit() == host_limit  # restored after each run
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(set(found.values())) == 1, found
+
+
 def test_integer_overflow_guard():
     src = "fn f() -> int { let x: int = 1000000000; while (true) { x = x * x; } return x; }"
     result = interpret(parse(src), "f", [])

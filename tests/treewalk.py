@@ -41,6 +41,8 @@ from jayfix.minilang.interp import (
     TestReport,
     TestSuite,
     Value,
+    _Program,
+    stack_room,
     values_equal,
 )
 
@@ -247,7 +249,10 @@ def interpret(
             detail=f"'{entry}' takes {len(fn.params)} argument(s), got {len(args)}",
         )
     try:
-        value = machine.call(fn, list(args))
+        # a call's frames: `call`, then `exec_block` or `eval_binary` and the
+        # node's own frame at each level of nesting
+        with stack_room(2 + 2 * _Program(ast).nesting):
+            value = machine.call(fn, list(args))
     except _RuntimeFailure as failure:
         return ExecResult(ExecStatus.RUNTIME_ERROR, detail=failure.detail)
     except _FuelExhausted:

@@ -33,15 +33,20 @@ echo is therefore the same on both sides. For each config the matrix is:
 - `repair` of a correct program against itself at `--beam 10`:
   `corpus/array_sum.jay --span 3:3` and `corpus/gcd.jay --span 6:6`,
   each with itself as `--reference`, so that `plausible` and `correct`
-  verdicts are compared too.
+  verdicts are compared too;
+- on a copy of the parent side's `init/` checkpoints, on both sides:
+  `evaluate`, `gen-bugs --beam 3` for each critic, and the `repair`
+  cases above, so that a change which moves the bytes training writes
+  still shows whether decoding from a given checkpoint moved.
 
 The stdout of every command is kept under `stdout/`, and each `log.json`
 is written again without its `wall_clock_sec`, the one field that reads
 a clock. Then `diff -r WORK/parent WORK/change` runs, and one line per
 file class follows it, with how many files of that class are identical
-and how many differ (or exist on one side only): checkpoints, training
-curves, `log.json`, `report.json`, sample stores, stdout, gen-bugs
-outputs, review candidates, repair patches, and every other file. The
+and how many differ (or exist on one side only): outputs decoded from
+the parent's checkpoints, checkpoints, training curves, `log.json`,
+`report.json`, sample stores, stdout, gen-bugs outputs, review
+candidates, repair patches, and every other file. The
 script exits 0 when every file is identical.
 
 Configs: `criterion8` is the end-to-end determinism config of
@@ -100,9 +105,10 @@ def write_config(path: Path, config: dict) -> str:
 class Side:
     """One tree's run of the matrix into the shared output directory."""
 
-    def __init__(self, tree: Path, out: Path):
+    def __init__(self, tree: Path, out: Path, parent_out: Path):
         self.tree = tree
         self.out = out
+        self.parent_out = parent_out  # where the parent side's outputs are
         self.env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
 
     def jayfix(self, label: str, *args: str) -> None:
@@ -147,20 +153,35 @@ class Side:
         for critic in CRITICS:
             self.jayfix(f"{name}-gen-bugs-{critic}", "gen-bugs", "--config", base_config,
                         "--critic", critic, "--out", str(base / f"bugs-{critic}"))
-            self.jayfix(f"{name}-gen-bugs-{critic}-beam3", "gen-bugs", "--config", base_config,
-                        "--critic", critic, "--beam", "3", "--out", str(base / f"bugs-{critic}-beam3"))
-        self.jayfix(f"{name}-repair", "repair", "--config", base_config, "corpus/gcd_buggy.jay",
-                    "--span", "4:4", "--beam", "10", "--reference", "corpus/gcd.jay",
-                    "--out", str(base / "repair"))
         lone = base / "no-suite" / "gcd_buggy.jay"
         lone.parent.mkdir()
         shutil.copy(self.out / "corpus" / "gcd_buggy.jay", lone)
+        self.decode(name, base_config, base, lone, {})
+        # the same decoding on the parent side's checkpoints
+        parent_init = base / "parent-init"
+        shutil.copytree(self.parent_out / name / "work" / "init", parent_init / "init")
+        models = {role: ["--model", str(parent_init / "init" / f"{role}.ckpt")] for role in ("fixer", "breaker")}
+        self.jayfix(f"{name}-parent-init-evaluate", "evaluate", "--config", base_config,
+                    *models["fixer"], "--out", str(parent_init / "eval"))
+        self.decode(f"{name}-parent-init", base_config, parent_init, lone, models)
+
+    def decode(self, label: str, config: str, base: Path, lone: Path, models: dict) -> None:
+        """`gen-bugs --beam 3` for each critic and the `repair` cases, into
+        `base`, with the config's `init/` models unless `models` names
+        others (a `--model` argument list per role)."""
+        fixer, breaker = models.get("fixer", []), models.get("breaker", [])
+        for critic in CRITICS:
+            self.jayfix(f"{label}-gen-bugs-{critic}-beam3", "gen-bugs", "--config", config, *breaker,
+                        "--critic", critic, "--beam", "3", "--out", str(base / f"bugs-{critic}-beam3"))
+        self.jayfix(f"{label}-repair", "repair", "--config", config, *fixer, "corpus/gcd_buggy.jay",
+                    "--span", "4:4", "--beam", "10", "--reference", "corpus/gcd.jay",
+                    "--out", str(base / "repair"))
         for tag, reference in (("reference", ["--reference", "corpus/gcd.jay"]), ("no-reference", [])):
-            self.jayfix(f"{name}-repair-no-suite-{tag}", "repair", "--config", base_config, str(lone),
+            self.jayfix(f"{label}-repair-no-suite-{tag}", "repair", "--config", config, *fixer, str(lone),
                         "--span", "4:4", "--beam", "10", *reference,
                         "--out", str(base / f"repair-no-suite-{tag}"))
         for program, span in (("array_sum", "3:3"), ("gcd", "6:6")):
-            self.jayfix(f"{name}-repair-{program}-itself", "repair", "--config", base_config,
+            self.jayfix(f"{label}-repair-{program}-itself", "repair", "--config", config, *fixer,
                         f"corpus/{program}.jay", "--span", span, "--beam", "10",
                         "--reference", f"corpus/{program}.jay", "--out", str(base / f"repair-{program}-itself"))
 
@@ -174,6 +195,8 @@ def strip_wall_clock(out: Path) -> None:
 
 # (class, test on a file's path relative to the output root), first match wins
 FILE_CLASSES = (
+    ("on parent checkpoints", lambda path: "parent-init" in path.parts[:-1]
+     or (path.parts[0] == "stdout" and "-parent-init-" in path.name)),
     ("checkpoint", lambda path: path.suffix == ".ckpt"),
     ("curves", lambda path: path.name == "curves.json"),
     ("log.json", lambda path: path.name == "log.json"),
@@ -217,7 +240,7 @@ def main(argv=None) -> int:
         tree = tree.resolve()
         out.mkdir()
         shutil.copytree(tree / "corpus", out / "corpus")
-        runner = Side(tree, out)
+        runner = Side(tree, out, out if side == "parent" else work / "parent")
         for name in args.config or sorted(CONFIGS):
             runner.run(name, CONFIGS[name])
         strip_wall_clock(out)
