@@ -192,13 +192,6 @@ class _Compiler:
         self.level = 0  # statements and expressions around the node being compiled
         self.deepest = 0
 
-    def _nested(self, compile_node, node, *args):
-        self.level += 1
-        self.deepest = max(self.deepest, self.level)
-        compiled = compile_node(node, *args)
-        self.level -= 1
-        return compiled
-
     def declare(self, name: str) -> int:
         scope = self.scopes[-1]
         if name not in scope:
@@ -244,7 +237,12 @@ class _Compiler:
     # --- statements
 
     def statement(self, stmt):
-        return self._nested(self._statement, stmt)
+        self.level += 1
+        if self.level > self.deepest:
+            self.deepest = self.level
+        compiled = self._statement(stmt)
+        self.level -= 1
+        return compiled
 
     def _statement(self, stmt):
         if isinstance(stmt, Let):
@@ -335,7 +333,12 @@ class _Compiler:
     def expr(self, expr, copy: bool = True):
         """`copy=False` compiles a variable read whose array is only
         indexed or measured, so it is not copied."""
-        return self._nested(self._expr, expr, copy)
+        self.level += 1
+        if self.level > self.deepest:
+            self.deepest = self.level
+        compiled = self._expr(expr, copy)
+        self.level -= 1
+        return compiled
 
     def _expr(self, expr, copy: bool):
         if isinstance(expr, (IntLit, BoolLit)):
