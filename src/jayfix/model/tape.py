@@ -66,8 +66,7 @@ class Tensor:
         return self.data.shape
 
     def accumulate(self, grad: np.ndarray) -> None:
-        # keeps the first array it is handed and adds later ones out of
-        # place: the array may be another node's gradient or a view of it
+        # kept, not copied, and never written into ("Gradient ownership" above)
         self.grad = grad if self.grad is None else self.grad + grad
 
     def item(self) -> float:
