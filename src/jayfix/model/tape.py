@@ -1,9 +1,9 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
 Just enough machinery for an encoder-decoder transformer: broadcasted
-add/mul, batched matmul (one GEMM over the rows when the right operand
-is a 2-D weight), relu, embedding gather, fused layer-norm,
-fused softmax, masked token cross-entropy, reshape/transpose,
+add, batched matmul (one GEMM over the rows when the right operand
+is a 2-D weight), relu, embedding gather, fused layer-norm, fused
+attention, masked token cross-entropy, reshape/transpose,
 inverted dropout, and two ops that move rows between layouts:
 `scatter_rows` lays packed rows (N, ...) out in their padded grid
 (B, L, ...) with zeros elsewhere, and `gather_rows` takes them back out
@@ -19,6 +19,18 @@ building a model.
 
 Graphs are built eagerly; ``backward(loss)`` walks the tape in reverse
 topological order. Wrap inference in ``no_grad()`` to skip bookkeeping.
+
+A graph is backpropagated once: `backward` consumes it. Once a node's
+backward has run, the node lets go of its parents and its backward
+closure, and of its gradient unless it is the root, so each activation
+is freed as soon as the last node that needs it is done. Leaves (the
+parameters) keep their gradients, and the root keeps its seed.
+
+Saved state is kept small. `dropout` keeps a boolean keep mask and
+rebuilds the float factor `mask / (1 - p)` in backward. `attention` is
+one node for softmax(q k^T * scale + mask), dropped out, times v: it
+keeps only the softmax weights and the boolean keep mask, and rebuilds
+the dropped weights from them in backward.
 
 Gradient ownership: `Tensor.accumulate` keeps the first gradient array
 a tensor is handed, without a copy, and adds any later one out of place.
@@ -52,7 +64,7 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=DTYPE)
@@ -108,20 +120,6 @@ def add(a: Tensor, b) -> Tensor:
             a.accumulate(_unbroadcast(grad, a.data.shape))
         if isinstance(b, Tensor) and b.requires_grad:
             b.accumulate(_unbroadcast(grad, b.data.shape))
-
-    parents = (a, b) if isinstance(b, Tensor) else (a,)
-    return _make(out_data, parents, backward)
-
-
-def mul(a: Tensor, b) -> Tensor:
-    b_data = _as_array(b)
-    out_data = a.data * b_data
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(grad * b_data, a.data.shape))
-        if isinstance(b, Tensor) and b.requires_grad:
-            b.accumulate(_unbroadcast(grad * a.data, b.data.shape))
 
     parents = (a, b) if isinstance(b, Tensor) else (a,)
     return _make(out_data, parents, backward)
@@ -272,18 +270,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _make(out_data, (x, gain, bias), backward)
 
 
-def softmax(x: Tensor, additive_mask: Optional[np.ndarray] = None) -> Tensor:
-    scores = x.data if additive_mask is None else x.data + additive_mask
-    scores = scores - scores.max(axis=-1, keepdims=True)
-    exp = np.exp(scores)
-    out_data = exp / exp.sum(axis=-1, keepdims=True)
-
-    def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            dot = (grad * out_data).sum(axis=-1, keepdims=True)
-            x.accumulate((grad - dot) * out_data)
-
-    return _make(out_data, (x,), backward)
+def _keep_factor(keep: np.ndarray, p: float) -> np.ndarray:
+    """Inverted dropout's float factor for a boolean keep mask."""
+    return keep.astype(DTYPE) / (1.0 - p)
 
 
 def dropout(
@@ -296,16 +285,65 @@ def dropout(
         return x
     assert rng is not None
     shape = x.data.shape if rows is None else rows.grid + x.data.shape[1:]
-    keep = (rng.random(shape) >= p).astype(DTYPE) / (1.0 - p)
+    keep = rng.random(shape) >= p
     if rows is not None:
         keep = keep[rows.batch, rows.position]
-    out_data = x.data * keep
+    out_data = x.data * _keep_factor(keep, p)
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
-            x.accumulate(grad * keep)
+            x.accumulate(grad * _keep_factor(keep, p))
 
     return _make(out_data, (x,), backward)
+
+
+def attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    scale: float,
+    additive_mask: Optional[np.ndarray],
+    p: float,
+    rng: Optional[np.random.Generator],
+    train: bool,
+) -> Tensor:
+    """dropout(softmax(q @ k^T * scale + additive_mask)) @ v over heads:
+    q (B, H, Lq, Dh) against k and v (B, H, Lk, Dh) of the same B and H.
+    One node, which keeps the softmax weights and, when dropout is on,
+    its boolean keep mask; the keep mask is drawn as `dropout` draws it."""
+    k_t = np.swapaxes(k.data, -1, -2)
+    scale = np.asarray(scale, dtype=DTYPE)
+    scores = (q.data @ k_t) * scale
+    if additive_mask is not None:
+        scores = scores + additive_mask
+    scores = scores - scores.max(axis=-1, keepdims=True)
+    exp = np.exp(scores)
+    weights = exp / exp.sum(axis=-1, keepdims=True)
+    keep = None
+    dropped = weights
+    if train and p > 0.0:
+        assert rng is not None
+        keep = rng.random(weights.shape) >= p
+        dropped = weights * _keep_factor(keep, p)
+    out_data = dropped @ v.data
+
+    def backward(grad: np.ndarray) -> None:
+        factor = None if keep is None else _keep_factor(keep, p)
+        rebuilt = weights if factor is None else weights * factor  # the dropped weights
+        if v.requires_grad:
+            v.accumulate(np.swapaxes(rebuilt, -1, -2) @ grad)
+        if q.requires_grad or k.requires_grad:
+            g = grad @ np.swapaxes(v.data, -1, -2)
+            if factor is not None:
+                g = g * factor
+            g = (g - (g * weights).sum(axis=-1, keepdims=True)) * weights
+            g = g * scale
+            if q.requires_grad:
+                q.accumulate(g @ np.swapaxes(k_t, -1, -2))
+            if k.requires_grad:
+                k.accumulate(np.swapaxes(np.swapaxes(q.data, -1, -2) @ g, -1, -2))
+
+    return _make(out_data, (q, k, v), backward)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
@@ -344,7 +382,8 @@ def log_softmax_last(logits: np.ndarray) -> np.ndarray:
 
 
 def backward(loss: Tensor) -> None:
-    """Reverse-accumulate gradients from a scalar loss."""
+    """Reverse-accumulate gradients from a scalar loss, consuming the
+    graph (see the module docstring)."""
     topo: list[Tensor] = []
     visited: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
@@ -360,9 +399,16 @@ def backward(loss: Tensor) -> None:
         for parent in node._parents:
             stack.append((parent, False))
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
+    while topo:
+        node = topo.pop()  # the list must not keep a consumed node alive
+        if node._backward is None:
+            continue  # a leaf keeps its gradient
+        if node.grad is not None:
             node._backward(node.grad)
+        node._parents = ()
+        node._backward = None
+        if node is not loss:
+            node.grad = None
 
 
 def zero_grads(params) -> None:

@@ -172,10 +172,7 @@ class Seq2SeqModel:
         c = self.config
         batch, q_len = q.shape[0], q.shape[2]
         d_head = c.d_model // c.n_heads
-        scores = tape.mul(tape.matmul(q, tape.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(d_head))
-        weights = tape.softmax(scores, additive_mask)
-        weights = tape.dropout(weights, c.dropout, rng, train)
-        context = tape.matmul(weights, v)  # (B, H, Lq, Dh)
+        context = tape.attention(q, k, v, 1.0 / np.sqrt(d_head), additive_mask, c.dropout, rng, train)
         context = tape.transpose(context, (0, 2, 1, 3))
         if rows is None:
             context = tape.reshape(context, (batch, q_len, c.d_model))

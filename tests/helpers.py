@@ -1,12 +1,13 @@
 """Test-only helpers with no caller in `src/`: a seeded toy scorer, the
-per-source beam search and a brute-force top-K as oracles, the padded
-teacher-forced model as the oracle of the packed one, a compile check,
-a region's text, a corruption-rule lookup, and repair tasks built from
-mechanical bugs."""
+per-source beam search and a brute-force top-K as oracles, the tape ops
+`mul` and `softmax` and the unfused attention chain built from them as
+the oracle of `tape.attention`, the padded teacher-forced model as the
+oracle of the packed one, a compile check, a region's text, a
+corruption-rule lookup, and repair tasks built from mechanical bugs."""
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -115,18 +116,65 @@ def exhaustive_top_k(
     ]
 
 
+# --- the unfused attention chain ------------------------------------------------
+#
+# `tape.attention` as it ran before it was one node: matmul, mul by the
+# scale, softmax under the additive mask, dropout, matmul, each its own
+# tape node keeping its own output (and dropout its float keep factor).
+
+
+def mul(a: tape.Tensor, b) -> tape.Tensor:
+    b_data = tape._as_array(b)
+    out_data = a.data * b_data
+
+    def backward(grad: np.ndarray) -> None:
+        if a.requires_grad:
+            a.accumulate(tape._unbroadcast(grad * b_data, a.data.shape))
+        if isinstance(b, tape.Tensor) and b.requires_grad:
+            b.accumulate(tape._unbroadcast(grad * a.data, b.data.shape))
+
+    parents = (a, b) if isinstance(b, tape.Tensor) else (a,)
+    return tape._make(out_data, parents, backward)
+
+
+def softmax(x: tape.Tensor, additive_mask: Optional[np.ndarray] = None) -> tape.Tensor:
+    scores = x.data if additive_mask is None else x.data + additive_mask
+    scores = scores - scores.max(axis=-1, keepdims=True)
+    exp = np.exp(scores)
+    out_data = exp / exp.sum(axis=-1, keepdims=True)
+
+    def backward(grad: np.ndarray) -> None:
+        if x.requires_grad:
+            dot = (grad * out_data).sum(axis=-1, keepdims=True)
+            x.accumulate((grad - dot) * out_data)
+
+    return tape._make(out_data, (x,), backward)
+
+
+def unfused_attention(q, k, v, scale, additive_mask, p, rng, train) -> tape.Tensor:
+    """`tape.attention` as a chain of five tape ops."""
+    scores = mul(tape.matmul(q, tape.transpose(k, (0, 1, 3, 2))), scale)
+    weights = tape.dropout(softmax(scores, additive_mask), p, rng, train)
+    return tape.matmul(weights, v)
+
+
 # --- the padded model -----------------------------------------------------------
 #
 # `Seq2SeqModel.encode`, `decode` and `loss` as they ran before they
 # packed their rows: every position-wise layer over the whole padded
 # grid (B, L, D), PAD positions included, with the masks discarding
-# them afterwards. Attention and the parameters are the model's own.
+# them afterwards, and attention as the unfused chain. The parameters
+# are the model's own.
 
 
 def _padded_attention(model: Seq2SeqModel, prefix, query, key_value, mask, train, rng):
+    c = model.config
     q, k, v = (model._project(prefix, name, x) for name, x in
                (("wq", query), ("wk", key_value), ("wv", key_value)))
-    return model._attend(prefix, q, k, v, mask, train, rng)
+    scale = 1.0 / np.sqrt(c.d_model // c.n_heads)
+    context = tape.transpose(unfused_attention(q, k, v, scale, mask, c.dropout, rng, train), (0, 2, 1, 3))
+    context = tape.reshape(context, (q.shape[0], q.shape[2], c.d_model))
+    return tape.matmul(context, model.params[f"{prefix}.wo"])
 
 
 def _padded_embed(model: Seq2SeqModel, prefix: str, ids: np.ndarray, train, rng):

@@ -18,7 +18,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import padded_loss
+from helpers import mul, padded_loss
 from jayfix.corpus import DIRECTION_FIX, TrainingSample
 from jayfix.minilang import Span
 from jayfix.model import ModelConfig, Seq2SeqModel, tape
@@ -108,5 +108,5 @@ def test_rows_round_trip_through_the_grid():
     assert np.array_equal(grid.data[~real], np.zeros((5, 2)))
     back = tape.gather_rows(grid, rows)
     assert np.array_equal(back.data, x.data)
-    tape.backward(tape.mul(back, np.full((4, 2), 3.0)))
+    tape.backward(mul(back, np.full((4, 2), 3.0)))
     assert np.array_equal(x.grad, np.full((4, 2), 3.0))
