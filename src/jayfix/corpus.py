@@ -275,9 +275,12 @@ class SampleStore:
     """Append-only deduplicated store, persisted as header + length-prefixed
     JSON lines (`<byte length>\\t<json>`). One writer, many readers.
 
-    Loading stops at the first record that is not whole (a torn tail
-    write). The first append cuts the file back to the last whole record,
-    so that what it writes is read back by every later load."""
+    Only the file's last line may be a record that is not whole (a torn
+    tail write): loading ignores it, and the first append cuts the file
+    back to the last whole record, so that what it writes is read back by
+    every later load. An unreadable record before the last line, or a
+    header that is not a JSON object, raises CorpusError and leaves the
+    file as it is."""
 
     def __init__(self, path: str | Path, vocab_sha: str | None = None):
         self.path = Path(path)
@@ -304,7 +307,12 @@ class SampleStore:
         lines = data.split(b"\n")
         if not lines[0]:
             raise CorpusError(f"{self.path}: empty store file")
-        header = json.loads(lines[0])
+        try:
+            header = json.loads(lines[0])
+        except ValueError as err:
+            raise CorpusError(f"{self.path}: store header is not JSON") from err
+        if not isinstance(header, dict):
+            raise CorpusError(f"{self.path}: store header is not a JSON object")
         if header.get("format") != STORE_FORMAT:
             raise CorpusError(f"{self.path}: unsupported store format {header.get('format')}")
         stored_sha = header.get("vocab_sha")
@@ -312,17 +320,21 @@ class SampleStore:
             raise CorpusError(f"{self.path}: store was built with a different vocabulary")
         if stored_sha is not None:
             self.vocab_sha = stored_sha
+        # lines[last] is the file's last line; only it may be a torn tail
+        last = max((number for number, line in enumerate(lines) if line), default=0)
         whole_end = start = len(lines[0])
-        for line in lines[1:]:
+        for number, line in enumerate(lines[1:], start=1):
             start += 1  # the newline before this line
             if line:
                 try:
                     prefix, payload = line.split(b"\t", 1)
                     if int(prefix) != len(payload):
-                        break  # torn tail write: ignore from here on
+                        raise ValueError("length prefix does not match the record")
                     sample = TrainingSample.from_json(json.loads(payload))
-                except (ValueError, KeyError, json.JSONDecodeError):
-                    break
+                except (ValueError, KeyError, TypeError) as err:
+                    if number == last:
+                        break  # a torn tail write: the next append cuts it
+                    raise CorpusError(f"{self.path}: unreadable record on line {number + 1}: {err}") from err
                 key = sample.content_key()
                 if key not in self._keys:
                     self._keys.add(key)

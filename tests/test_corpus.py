@@ -207,6 +207,43 @@ def test_a_whole_last_record_without_its_newline_is_kept(tmp_path):
     assert [s.to_json() for s in SampleStore(path).samples] == [make_sample(i).to_json() for i in range(3)]
 
 
+@pytest.mark.parametrize("damage", ["length prefix", "payload", "no tab"])
+def test_an_unreadable_record_before_the_last_line_raises_and_keeps_the_file(tmp_path, damage):
+    path = tmp_path / "store.jsonl"
+    SampleStore(path).append([make_sample(i) for i in range(20)])
+    lines = path.read_bytes().split(b"\n")
+    prefix, payload = lines[10].split(b"\t", 1)  # record 10
+    lines[10] = {
+        "length prefix": b"%d\t%s" % (int(prefix) + 1, payload),
+        "payload": prefix + b"\t" + payload.replace(b'"direction"', b'"direxion"'),
+        "no tab": prefix + b" " + payload,
+    }[damage]
+    path.write_bytes(b"\n".join(lines))
+    damaged = path.read_bytes()
+    with pytest.raises(CorpusError, match="line 11"):
+        SampleStore(path)
+    assert path.read_bytes() == damaged
+
+
+def test_an_unreadable_last_line_is_a_torn_tail_even_with_its_newline(tmp_path):
+    path = tmp_path / "store.jsonl"
+    SampleStore(path).append([make_sample(i) for i in range(3)])
+    with open(path, "a") as fh:
+        fh.write('999\t{"direction": "fix"}\n')
+    reopened = SampleStore(path)
+    assert len(reopened) == 3
+    assert reopened.append([make_sample(3)]) == 1
+    assert [s.to_json() for s in SampleStore(path).samples] == [make_sample(i).to_json() for i in range(4)]
+
+
+@pytest.mark.parametrize("header", ["{not json", "[1]"])
+def test_a_header_that_is_not_a_json_object_raises(tmp_path, header):
+    path = tmp_path / "store.jsonl"
+    path.write_text(header + "\n")
+    with pytest.raises(CorpusError, match="header"):
+        SampleStore(path)
+
+
 def test_header_format_is_validated(tmp_path):
     path = tmp_path / "store.jsonl"
     path.write_text('{"format": 99}\n')
