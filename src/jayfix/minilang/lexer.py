@@ -10,6 +10,10 @@ KEYWORDS = frozenset(
     ["fn", "let", "if", "else", "while", "return", "true", "false", "int", "bool"]
 )
 
+# Number tokens are ASCII digits only: `int` would read other Unicode
+# digits, and no other digit is a token.
+DIGITS = frozenset("0123456789")
+
 # Longest-match first.
 OPERATORS = [
     "->", "==", "!=", "<=", ">=", "&&", "||",
@@ -61,10 +65,10 @@ def tokenize(text: str) -> list[Token]:
             kind = "kw" if word in KEYWORDS else "ident"
             tokens.append(Token(kind, word, line, start_col))
             continue
-        if c.isdigit():
+        if c in DIGITS:
             start = i
             start_col = col
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in DIGITS:
                 i += 1
                 col += 1
             tokens.append(Token("number", text[start:i], line, start_col))

@@ -45,6 +45,14 @@ def test_compiler_rejects_syntax_errors(gcd):
     assert verdict.diagnostic is not None
 
 
+def test_a_non_ascii_digit_is_a_compile_failure():
+    program = SourceProgram("digit", "fn f() -> int { return ²; }")
+    for family in (FAMILY_COMPILER, FAMILY_TESTS):
+        verdict = judge(CriticKind(family, POLARITY_CORRECT), program, ())
+        assert not verdict.accept and verdict.evidence == EVIDENCE_COMPILE_FAIL
+        assert verdict.diagnostic.kind == "LexError"
+
+
 def test_compiler_accepts_any_compiling_program_in_both_polarities(gcd):
     bad = corrupted_gcd(gcd)
     for polarity in (POLARITY_CORRECT, POLARITY_BUGGY):

@@ -4,6 +4,7 @@ import pytest
 
 from jayfix.minilang import (
     MiniLangError,
+    analyze,
     ast_equal_normalized,
     parse,
     pretty_print,
@@ -46,6 +47,15 @@ def test_lex_error_has_span():
         parse("fn f() -> int {\n  return @;\n}")
     assert err.value.diagnostic.kind == "LexError"
     assert err.value.diagnostic.span.start_line == 2
+
+
+@pytest.mark.parametrize("number, bad", [("²", "²"), ("١٢", "١"), ("1²", "²")])
+def test_a_non_ascii_digit_is_a_lex_error(number, bad):
+    # `int` reads any Unicode digit; a number token is ASCII digits only
+    ast, diagnostics = analyze(f"fn f() -> int {{ return {number}; }}")
+    assert ast is None
+    assert [d.kind for d in diagnostics] == ["LexError"]
+    assert diagnostics[0].message == f"unexpected character {bad!r}"
 
 
 def test_comments_are_skipped():
