@@ -14,6 +14,7 @@ from .backtranslate import LoopConfig
 from .minilang import DEFAULT_FUEL
 from .model import ModelConfig, TrainConfig
 from .representation import RepresentationConfig
+from .util import DataError
 
 
 def _default_jobs() -> int:
@@ -29,10 +30,6 @@ _SECTIONS = {
     "loop": LoopConfig,
     "representation": RepresentationConfig,
 }
-
-
-class DataError(Exception):
-    """Input that contradicts the data a run works on (exit code 2)."""
 
 
 def _reject_unknown_keys(raw: dict, cls, where: str) -> None:

@@ -4,17 +4,22 @@ training-step counter). See docs/checkpoint.md for the byte layout.
 Parameters are stored in the dtype the model computes in, `tape.DTYPE`;
 loading casts them to it once, so an older float64 checkpoint still
 loads. Round-tripping a model through save/load reproduces its outputs
-bit-for-bit on the same platform and dtype.
+bit-for-bit on the same platform and dtype. Loading draws no random
+initialisation: the model is built from the stored arrays. A path that
+is a directory, or a file that is not a whole zip archive (truncated,
+or another format), raises DataError.
 """
 
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
+from ..util import DataError
 from .transformer import ModelConfig, Seq2SeqModel
 
 CHECKPOINT_FORMAT = 1
@@ -37,19 +42,29 @@ def save_checkpoint(model: Seq2SeqModel, path: str | Path) -> None:
 
 def load_checkpoint(path: str | Path) -> Seq2SeqModel:
     path = Path(path)
-    with np.load(path) as archive:
-        if _META_KEY not in archive:
-            raise ValueError(f"{path}: not a checkpoint (missing metadata)")
-        meta = json.loads(bytes(archive[_META_KEY]).decode("utf-8"))
-        if meta.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(f"{path}: unsupported checkpoint format {meta.get('format')}")
-        config = ModelConfig(**meta["config"])
-        arrays = {
-            key[len("param/") :]: archive[key]
-            for key in archive.files
-            if key.startswith("param/")
-        }
-    model = Seq2SeqModel(config)
-    model.load_state_arrays(arrays)
+    try:
+        fh = open(path, "rb")
+    except IsADirectoryError as err:
+        raise DataError(f"{path}: a directory, not a checkpoint") from err
+    with fh:
+        if not zipfile.is_zipfile(fh):
+            raise DataError(f"{path}: not a checkpoint (truncated, or not a zip archive)")
+        fh.seek(0)
+        try:
+            with np.load(fh) as archive:
+                if _META_KEY not in archive:
+                    raise ValueError(f"{path}: not a checkpoint (missing metadata)")
+                meta = json.loads(bytes(archive[_META_KEY]).decode("utf-8"))
+                if meta.get("format") != CHECKPOINT_FORMAT:
+                    raise ValueError(f"{path}: unsupported checkpoint format {meta.get('format')}")
+                config = ModelConfig(**meta["config"])
+                arrays = {
+                    key[len("param/") :]: archive[key]
+                    for key in archive.files
+                    if key.startswith("param/")
+                }
+        except zipfile.BadZipFile as err:
+            raise DataError(f"{path}: damaged checkpoint ({err})") from err
+    model = Seq2SeqModel(config, arrays)
     model.step = int(meta.get("step", 0))
     return model

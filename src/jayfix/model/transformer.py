@@ -65,63 +65,66 @@ class ModelConfig:
 class Seq2SeqModel:
     """One trainable sequence-to-sequence network."""
 
-    def __init__(self, config: ModelConfig):
+    def __init__(self, config: ModelConfig, arrays: Optional[dict[str, np.ndarray]] = None):
+        """Parameters drawn from `config.seed`, or, given `arrays` (named
+        and shaped as `state_arrays` returns them), those arrays with no
+        random draw."""
         self.config = config
         self.step = 0
         self.params: dict[str, Tensor] = {}
-        self._init_params(np.random.default_rng(config.seed))
+        if arrays is not None:
+            self.load_state_arrays(arrays)
+            return
+        rng = np.random.default_rng(config.seed)
+        for name, (shape, fill) in self._layout().items():
+            # drawn in float64 and cast once to tape.DTYPE, so the initial
+            # parameters are a function of the seed and the dtype alone
+            array = rng.normal(0.0, 0.02, size=shape) if fill is None else np.full(shape, fill)
+            self.params[name] = Tensor(array, requires_grad=True)
 
     # --- parameters ---
 
-    def _param(self, name: str, array: np.ndarray) -> None:
-        # drawn in float64 and cast once to tape.DTYPE, so the initial
-        # parameters are a function of the seed and the dtype alone
-        self.params[name] = Tensor(array, requires_grad=True)
-
-    def _init_params(self, rng: np.random.Generator) -> None:
+    def _layout(self) -> dict[str, tuple[tuple[int, ...], Optional[float]]]:
+        """Each parameter's shape and initial fill value (None: drawn from
+        the seeded generator), in the order they are drawn and stored."""
         c = self.config
-        std = 0.02
+        d = c.d_model
+        layout: dict[str, tuple[tuple[int, ...], Optional[float]]] = {
+            "enc.tok_emb": ((c.vocab_size, d), None),
+            "enc.pos_emb": ((c.max_src_len, d), None),
+            "dec.tok_emb": ((c.vocab_size, d), None),
+            "dec.pos_emb": ((c.max_tgt_len + 1, d), None),
+        }
 
-        def normal(*shape) -> np.ndarray:
-            return rng.normal(0.0, std, size=shape)
+        def attention(prefix: str) -> None:
+            for name in ("wq", "wk", "wv", "wo"):
+                layout[f"{prefix}.{name}"] = ((d, d), None)
 
-        self._param("enc.tok_emb", normal(c.vocab_size, c.d_model))
-        self._param("enc.pos_emb", normal(c.max_src_len, c.d_model))
-        self._param("dec.tok_emb", normal(c.vocab_size, c.d_model))
-        self._param("dec.pos_emb", normal(c.max_tgt_len + 1, c.d_model))
+        def ffn(prefix: str) -> None:
+            layout[f"{prefix}.w1"] = ((d, c.d_ff), None)
+            layout[f"{prefix}.b1"] = ((c.d_ff,), 0.0)
+            layout[f"{prefix}.w2"] = ((c.d_ff, d), None)
+            layout[f"{prefix}.b2"] = ((d,), 0.0)
+
+        def ln(*prefixes: str) -> None:
+            for prefix in prefixes:
+                layout[f"{prefix}.g"] = ((d,), 1.0)
+                layout[f"{prefix}.b"] = ((d,), 0.0)
+
         for i in range(c.n_encoder_layers):
-            self._init_attention(f"enc.{i}.self", rng)
-            self._init_ffn(f"enc.{i}.ffn", rng)
-            self._init_ln(f"enc.{i}.ln1")
-            self._init_ln(f"enc.{i}.ln2")
-        self._init_ln("enc.ln_final")
+            attention(f"enc.{i}.self")
+            ffn(f"enc.{i}.ffn")
+            ln(f"enc.{i}.ln1", f"enc.{i}.ln2")
+        ln("enc.ln_final")
         for i in range(c.n_decoder_layers):
-            self._init_attention(f"dec.{i}.self", rng)
-            self._init_attention(f"dec.{i}.cross", rng)
-            self._init_ffn(f"dec.{i}.ffn", rng)
-            self._init_ln(f"dec.{i}.ln1")
-            self._init_ln(f"dec.{i}.ln2")
-            self._init_ln(f"dec.{i}.ln3")
-        self._init_ln("dec.ln_final")
-        self._param("out.w", normal(c.d_model, c.vocab_size))
-        self._param("out.b", np.zeros(c.vocab_size))
-
-    def _init_attention(self, prefix: str, rng: np.random.Generator) -> None:
-        d = self.config.d_model
-        for name in ("wq", "wk", "wv", "wo"):
-            self._param(f"{prefix}.{name}", rng.normal(0.0, 0.02, size=(d, d)))
-
-    def _init_ffn(self, prefix: str, rng: np.random.Generator) -> None:
-        c = self.config
-        self._param(f"{prefix}.w1", rng.normal(0.0, 0.02, size=(c.d_model, c.d_ff)))
-        self._param(f"{prefix}.b1", np.zeros(c.d_ff))
-        self._param(f"{prefix}.w2", rng.normal(0.0, 0.02, size=(c.d_ff, c.d_model)))
-        self._param(f"{prefix}.b2", np.zeros(c.d_model))
-
-    def _init_ln(self, prefix: str) -> None:
-        d = self.config.d_model
-        self._param(f"{prefix}.g", np.ones(d))
-        self._param(f"{prefix}.b", np.zeros(d))
+            attention(f"dec.{i}.self")
+            attention(f"dec.{i}.cross")
+            ffn(f"dec.{i}.ffn")
+            ln(f"dec.{i}.ln1", f"dec.{i}.ln2", f"dec.{i}.ln3")
+        ln("dec.ln_final")
+        layout["out.w"] = ((d, c.vocab_size), None)
+        layout["out.b"] = ((c.vocab_size,), 0.0)
+        return layout
 
     def n_parameters(self) -> int:
         return sum(p.data.size for p in self.params.values())
@@ -130,13 +133,21 @@ class Seq2SeqModel:
         return {name: p.data.copy() for name, p in self.params.items()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        if set(arrays) != set(self.params):
-            missing = set(self.params) ^ set(arrays)
+        """Copy `arrays` into the parameters, cast to tape.DTYPE, after
+        checking their names and shapes against the config's."""
+        layout = self._layout()
+        if set(arrays) != set(layout):
+            missing = set(layout) ^ set(arrays)
             raise ValueError(f"parameter name mismatch: {sorted(missing)}")
         for name, array in arrays.items():
-            if array.shape != self.params[name].data.shape:
+            if array.shape != layout[name][0]:
                 raise ValueError(f"shape mismatch for {name}")
-            self.params[name].data = np.array(array, dtype=tape.DTYPE)
+        for name in layout:
+            data = np.array(arrays[name], dtype=tape.DTYPE)
+            if name in self.params:
+                self.params[name].data = data
+            else:
+                self.params[name] = Tensor(data, requires_grad=True)
 
     # --- building blocks ---
     #

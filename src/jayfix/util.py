@@ -1,5 +1,6 @@
-"""Small shared helpers: canonical JSON, JSON artifact files, stable
-hashing, seeded RNG derivation, and an order-preserving parallel map."""
+"""Small shared helpers: the data error, canonical JSON, JSON artifact
+files, stable hashing, seeded RNG derivation, and an order-preserving
+parallel map."""
 
 from __future__ import annotations
 
@@ -13,6 +14,10 @@ import numpy as np
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+
+class DataError(Exception):
+    """Input that contradicts the data a run works on (exit code 2)."""
 
 
 def canonical_json(obj) -> str:

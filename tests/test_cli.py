@@ -393,3 +393,19 @@ def test_written_fields_match_docs(workspace, tmp_path):
     documented_meta = _key_paths(_documented("<stem>.meta.json"))
     for stem in manifest["bugs"]:
         assert _key_paths(json.loads((out_dir / f"{stem}.meta.json").read_text())) == documented_meta
+
+
+@pytest.mark.parametrize("broken", ["truncated", "directory"])
+def test_evaluate_on_an_unreadable_checkpoint_is_data_error(workspace, tmp_path, capsys, broken):
+    root, config_path = workspace
+    model = tmp_path / "fixer.ckpt"
+    if broken == "truncated":
+        whole = (root / "work" / "init" / "fixer.ckpt").read_bytes()
+        model.write_bytes(whole[: len(whole) // 2])
+    else:
+        model.mkdir()
+    argv = ["evaluate", "--config", str(config_path), "--model", str(model), "--out", str(tmp_path / "eval")]
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1 and str(model) in err
+    assert not (tmp_path / "eval").exists()

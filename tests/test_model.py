@@ -248,6 +248,46 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(a, b)
 
 
+def test_loading_a_checkpoint_draws_no_random_initialisation(tmp_path, monkeypatch):
+    model = tiny_model(seed=23)
+    save_checkpoint(model, tmp_path / "m.ckpt")
+    draws = []
+    default_rng = np.random.default_rng
+
+    def spy(*args, **kwargs):
+        draws.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    loaded = load_checkpoint(tmp_path / "m.ckpt")
+    assert draws == []
+    Seq2SeqModel(model.config)
+    assert draws == [(23,)]  # the spy sees a draw where there is one
+    monkeypatch.undo()
+    assert list(loaded.params) == list(model.params)
+    for name, param in model.params.items():
+        assert loaded.params[name].requires_grad
+        assert loaded.params[name].data.dtype == np.float32
+        assert np.array_equal(loaded.params[name].data, param.data), name
+    a = next_token_distribution(model, [10, 11, 12], [13, 14])
+    b = next_token_distribution(loaded, [10, 11, 12], [13, 14])
+    assert np.array_equal(a, b)
+
+
+def test_arrays_of_another_layout_are_rejected_by_name_and_shape():
+    model = tiny_model(seed=24)
+    arrays = model.state_arrays()
+    missing = {name: array for name, array in arrays.items() if name != "out.b"}
+    reshaped = {**arrays, "dec.0.ffn.w1": arrays["dec.0.ffn.w1"].T}
+    for load in (model.load_state_arrays, lambda a: Seq2SeqModel(model.config, a)):
+        with pytest.raises(ValueError, match=r"parameter name mismatch: \['out.b'\]"):
+            load(missing)
+        with pytest.raises(ValueError, match="shape mismatch for dec.0.ffn.w1"):
+            load(reshaped)
+    for name, array in arrays.items():
+        assert np.array_equal(model.params[name].data, array), name
+
+
 def test_float64_checkpoint_loads_cast_once(tmp_path, monkeypatch):
     # as written before jayfix computed in float32: same format, float64 arrays
     with monkeypatch.context() as patch:
