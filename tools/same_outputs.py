@@ -53,7 +53,10 @@ Configs: `criterion8` is the end-to-end determinism config of
 `tests/test_acceptance.py` (tiny preset at d_model 16, one epoch), under
 which the compiler and tests critics keep nothing; `tiny15` is the same
 with the plain tiny preset and 15 epochs at learning rate 3e-3, which
-gives those critics something to keep.
+gives those critics something to keep; `dropout` is `criterion8` with
+`model.dropout` 0.1, so that every dropout site of training (the
+embeddings, attention weights, residual branches and feed-forward
+hidden layer) is compared too: the tiny preset trains without dropout.
 """
 
 from __future__ import annotations
@@ -90,6 +93,7 @@ CONFIGS = {
         "model": {},
         "train": {**CRITERION8["train"], "learning_rate": 0.003, "max_epochs": 15},
     },
+    "dropout": {**CRITERION8, "model": {**CRITERION8["model"], "dropout": 0.1}},
 }
 
 CRITICS = ("none", "compiler", "tests")
