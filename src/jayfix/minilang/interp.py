@@ -13,6 +13,18 @@ FUEL_EXHAUSTED outcome rather than an exception; runtime failures
 integer overflow) become RUNTIME_ERROR outcomes. Arrays are plain value
 types: assignment and calls copy. Reading an array only to index it or
 take its length does not copy it.
+
+A loop that comes back to a state it was in ends FUEL_EXHAUSTED at once,
+which is the outcome its budget would have reached. A program has no
+globals and no I/O, so the state at a `while` condition check is the
+calling function's frame: if two checks of one loop run see equal frames,
+the loop repeats forever and every budget runs out inside it. The loop
+compares each check's frame with a deep copy taken at its check 1, 2, 4,
+8, ... (Brent, "An improved Monte Carlo factorization algorithm", BIT
+1980), so it finds a cycle within a few iterations of its period. Values
+must match in type as well (True == 1 holds in Python, not in Jay), and
+only frames of at most MAX_STATE_VALUES values are copied, so that the
+check costs each iteration a bounded amount.
 """
 
 from __future__ import annotations
@@ -47,6 +59,7 @@ from .ast import (
 DEFAULT_FUEL = 100_000
 MAX_CALL_DEPTH = 200
 MAX_ARRAY_LEN = 1 << 20
+MAX_STATE_VALUES = 256  # the largest frame, an array counting its length, checked for a repeat
 INT_MIN = -(1 << 63)
 INT_MAX = (1 << 63) - 1
 
@@ -170,6 +183,27 @@ def _store(slot: int, value):
         f[slot] = value(f, r)
 
     return ex
+
+
+def _plain(f: list) -> bool:
+    """Whether frame `f` is a state a loop may be checked for returning
+    to: at most MAX_STATE_VALUES values, and no array nested in another or
+    held by two slots. Only ill-typed programs nest or share arrays, and
+    then two frames with equal values may still run differently."""
+    if sum(len(value) if isinstance(value, list) else 1 for value in f) > MAX_STATE_VALUES:
+        return False
+    arrays = [value for value in f if isinstance(value, list)]
+    if any(isinstance(item, list) for array in arrays for item in array):
+        return False
+    return len({id(array) for array in arrays}) == len(arrays)
+
+
+def _snapshot(f: list) -> Optional[list]:
+    """A deep copy of frame `f` to compare later checks with, or None when
+    `f` is not a plain state."""
+    if not _plain(f):
+        return None
+    return [list(value) if isinstance(value, list) else value for value in f]
 
 
 def _undefined(name: str):
@@ -315,10 +349,17 @@ class _Compiler:
             r.fuel -= 1
             if r.fuel < 0:
                 raise _FuelExhausted
+            checks, next_snapshot, seen = 0, 1, None
             while True:
                 r.fuel -= 1  # each iteration's condition check costs fuel
                 if r.fuel < 0:
                     raise _FuelExhausted
+                # an earlier state again, with the same types (`==` takes True for 1): the loop never ends
+                if seen is not None and f == seen and repr(f) == repr(seen) and _plain(f):
+                    raise _FuelExhausted
+                checks += 1
+                if checks == next_snapshot:
+                    seen, next_snapshot = _snapshot(f), 2 * next_snapshot
                 if not cond(f, r):
                     return None
                 for inner in body:

@@ -451,3 +451,146 @@ fn main(a: int, b: int, c: int, xs: int) -> int {{
 def test_compiled_matches_tree_walker_on_generated_programs(exprs, args, deep_stack):
     ast = parse(GENERATED.format(e=exprs))
     _assert_same(ast, "main", args, 3_000)
+
+
+# --- loops that come back to an earlier state ---------------------------------
+
+
+def _fuel_spent(ast, entry, args, fuel):
+    """The compiled interpreter's result and the fuel it spent."""
+    runs = []
+
+    class Recorded(interp._Run):
+        def __init__(self, functions, fuel):
+            super().__init__(functions, fuel)
+            runs.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(interp, "_Run", Recorded)
+        result = interpret(ast, entry, list(args), fuel)
+    return result, fuel - max(runs[0].fuel, 0)
+
+
+@st.composite
+def cycling_loops(draw):
+    """A loop with pre-period `pre` (a counter `c` runs up to it first)
+    and then period `period`: `xs[2]` counts mod `period`, `x` mod a
+    divisor of it, and toggles, swaps, array updates and rotations have
+    periods that divide it. Or else `xs[4]` counts up to a limit, so only
+    an array changes between states that end the loop. Returns the
+    source and whether the loop ever exits."""
+    pre, period = draw(st.integers(0, 8)), draw(st.integers(1, 8))
+    k = draw(st.sampled_from([d for d in range(1, period + 1) if period % d == 0]))
+    x0, xs = draw(st.integers(0, 9)), [draw(st.integers(0, 9)) for _ in range(5)]
+    updates = [f"x = (x + 1) % {k};", f"xs[2] = (xs[2] + 1) % {period};"]
+    if period % 2 == 0 and draw(st.booleans()):
+        updates.append("t = !t;")  # `t` may start as an int: 0, True, False, True, ...
+    if period % 2 == 0 and draw(st.booleans()):
+        updates.append("let s: int = a; a = b; b = s;")
+    if period % 2 == 0 and draw(st.booleans()):
+        updates.append("let s: int = xs[0]; xs[0] = xs[3]; xs[3] = s;")
+    if period % 3 == 0 and draw(st.booleans()):
+        updates.append("let h: int = xs[0]; xs[0] = xs[1]; xs[1] = xs[3]; xs[3] = h;")
+    if draw(st.booleans()):
+        updates.append(f"xs[{draw(st.sampled_from([0, 1, 3]))}] = (xs[1] + 1) % {period};")
+    limit = draw(st.integers(0, 9))
+    cond, exits = draw(st.sampled_from([
+        ("true", False),
+        (f"x != {limit}", limit == x0 or limit < k),
+        (f"xs[2] != {limit}", limit == xs[2] or limit < period),
+        (f"c < {limit}", limit <= pre),
+        (f"xs[4] < {4 * limit}", True),
+    ]))
+    if cond.startswith("xs[4]"):
+        updates.append("xs[4] = xs[4] + 1;")
+    updates = draw(st.permutations(updates))
+    t0 = draw(st.sampled_from(["true", "false", "0", "1"]))
+    source = (
+        "fn f(a: int, b: int) -> int {\n"
+        f"    let c: int = 0; let x: int = {x0}; let t: bool = {t0}; let xs: int[] = {xs};\n"
+        f"    while ({cond}) {{\n"
+        f"        if (c < {pre}) {{ c = c + 1; }} else {{ {' '.join(updates)} }}\n"
+        "    }\n"
+        "    return c * 1000 + x * 100 + a * 10 + b + xs[0] + xs[2] * 3 + xs[3] * 5;\n"
+        "}\n"
+    )
+    return source, exits
+
+
+@settings(max_examples=150, deadline=None)
+@given(loop=cycling_loops(), args=st.tuples(st.integers(0, 3), st.integers(0, 3)), fuel=st.integers(1, 5_000))
+def test_cut_loops_match_tree_walker(loop, args, fuel):
+    source, exits = loop
+    ast = parse(source)
+    for budget in (fuel, 20_000):  # one that may run out before the cut, one that lets every exit happen
+        _assert_same(ast, "f", args, budget, source)
+    if not exits:
+        # a budget far beyond the cycle: the cut ends the run within a few periods
+        result, spent = _fuel_spent(ast, "f", args, DEFAULT_FUEL)
+        assert result.status is ExecStatus.FUEL_EXHAUSTED and spent < 10_000, (source, spent)
+
+
+CYCLES = [
+    # ill-typed: y is 0, 1, then true, which Python's == takes for 1; the loop then returns
+    ("fn f() -> int { let y: int = 0; while (true) { if (y == 0) { y = 1; }"
+     " else { if (y == 1) { y = true; } else { return 5; } } } return 0; }", "f", ()),
+    # only an array's contents change, and the loop ends
+    ("fn f() -> int { let a: int[] = [0, 0]; while (a[1] < 20) { a[0] = 1 - a[0]; a[1] = a[1] + a[0]; }"
+     " return a[1]; }", "f", ()),
+    # ill-typed: at check 4 the frame equals check 2's by value, but b and c now share one
+    # array, so writing b changes c and the loop returns
+    ("fn f() -> int { let k: int = 0; let m: int = 0; let b: int[] = [0]; let c: int[] = [0];"
+     " while (true) { if (k == 0) { k = 1; } else { b[0] = 1; if (c[0] == 1) { return 5; }"
+     " b[0] = 0; m = [[0]]; b = m[0]; c = m[0]; m = 0; k = 0; } } return 0; }", "f", ()),
+    # ill-typed: b writes into the array nested in m, which a copy of m alone would share
+    ("fn f() -> int { let m: int[] = [[0]]; let b: int = 0; while (m[0][0] < 5) { b = m[0];"
+     " b[0] = b[0] + 1; b = 0; } return m[0][0]; }", "f", ()),
+    # cycling in a recursive call, and each level's identical loop that ends
+    ("fn g(n: int) -> int { let i: int = 0; while (i < 3) { i = i + 1; }"
+     " if (n > 0) { return g(n - 1) + i; } while (i != 0) { i = (i + 1) % 4; } return i; }", "g", (5,)),
+    ("fn g(n: int) -> int { let i: int = 0; while (i < 3) { i = i + 1; }"
+     " if (n > 0) { return g(n - 1) + i; } while (i != 0) { i = (i + 2) % 4; } return i; }", "g", (5,)),
+    # cycling in a nested loop: the inner loop, then the outer one around an inner loop that ends
+    ("fn f(n: int) -> int { let i: int = 0; while (i < n) { let j: int = 0; while (j < 5) { j = j % 3; }"
+     " i = i + 1; } return i; }", "f", (3,)),
+    ("fn f(n: int) -> int { let i: int = 0; while (i < n) { let j: int = 0; while (j < 5) { j = j + 1; }"
+     " i = (i + 1) % 3; } return i; }", "f", (3,)),
+    ("fn f(n: int) -> int { let i: int = 0; while (i < n) { let j: int = 0; while (j < 5) { j = j + 1; }"
+     " i = (i + 1) % 3; } return i; }", "f", (2,)),
+    # frames larger than MAX_STATE_VALUES: one that cycles runs out of fuel, one that ends does
+    (f"fn f() -> int {{ let a: int[] = zeros({interp.MAX_STATE_VALUES + 1}); while (true) {{ }} return 0; }}",
+     "f", ()),
+    (f"fn f() -> int {{ let a: int[] = zeros({interp.MAX_STATE_VALUES + 1}); let i: int = 0;"
+     " while (i < len(a)) { a[i] = i % 2; i = i + 1; } return a[len(a) - 1] + i; }", "f", ()),
+    # more iterations than MAX_STATE_VALUES, over few values that never repeat
+    (f"fn f() -> int {{ let i: int = 0; let s: bool = false; while (i < {3 * interp.MAX_STATE_VALUES}) {{"
+     " i = i + 1; s = !s; } return i; }", "f", ()),
+    # the frame grows past the bound while it cycles: its small states repeat, then stop being checked
+    ("fn f() -> int { let n: int = 0; let a: int[] = [0]; while (true) { n = (n + 1) % 2;"
+     " if (n == 0) { if (len(a) < 300) { a = zeros(len(a) * 2); } } } return 0; }", "f", ()),
+]
+
+
+@pytest.mark.parametrize("source, entry, args", CYCLES)
+def test_cut_matches_tree_walker_on_fixed_loops(source, entry, args, deep_stack):
+    _assert_same(parse(source), entry, args, DEFAULT_FUEL)
+
+
+def test_cut_stops_a_repeating_loop_within_its_period():
+    ast = parse("fn f() -> int { let i: int = 0; while (true) { i = (i + 1) % 5; } return 0; }")
+    result, spent = _fuel_spent(ast, "f", (), DEFAULT_FUEL)
+    assert result.status is ExecStatus.FUEL_EXHAUSTED and spent < 200
+
+
+@pytest.mark.parametrize("frame, plain", [
+    ([0] * interp.MAX_STATE_VALUES, True),
+    ([0] * (interp.MAX_STATE_VALUES + 1), False),
+    ([None, [0] * (interp.MAX_STATE_VALUES - 1)], True),  # an array counts its length
+    ([None, [0] * interp.MAX_STATE_VALUES], False),
+    ([[1, [2]]], False),
+    ([[0], [0]], True),
+    ([[0]] * 2, False),  # one array in two slots
+])
+def test_only_small_flat_unshared_frames_are_plain(frame, plain):
+    assert interp._plain(frame) is plain
+    assert (interp._snapshot(frame) == frame) is plain
