@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .minilang import SourceProgram, Span
 from .minilang.lexer import OPERATORS
-from .util import content_hash
+from .util import DataError, content_hash
 
 PAD, BOS, EOS, START_BUGGY, END_BUGGY, UNK = range(6)
 RESERVED_TOKENS = ["<pad>", "<s>", "</s>", "[START_BUGGY]", "[END_BUGGY]", "<unk>"]
@@ -160,10 +160,22 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        if payload.get("format") != VOCAB_FORMAT:
-            raise ValueError(f"unsupported vocab format {payload.get('format')}")
-        return cls(payload["pieces"])
+        """Read a vocabulary `save` wrote; any other file raises DataError."""
+        try:
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        except IsADirectoryError as err:
+            raise DataError(f"{path}: a directory, not a vocabulary") from err
+        except ValueError as err:  # not UTF-8, or not JSON
+            raise DataError(f"{path}: not a vocabulary ({err})") from err
+        if not isinstance(payload, dict) or payload.get("format") != VOCAB_FORMAT:
+            raise DataError(f"{path}: not a vocabulary of format {VOCAB_FORMAT}")
+        pieces = payload.get("pieces")
+        if not isinstance(pieces, list) or not all(isinstance(piece, str) for piece in pieces):
+            raise DataError(f"{path}: vocab pieces are not a list of strings")
+        try:
+            return cls(pieces)
+        except ValueError as err:  # a duplicate lexeme
+            raise DataError(f"{path}: {err}") from err
 
     # --- encoding ---
 

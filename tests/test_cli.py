@@ -409,3 +409,26 @@ def test_evaluate_on_an_unreadable_checkpoint_is_data_error(workspace, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1 and str(model) in err
     assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize("content", [
+    b'{"format": 1}',
+    b"{}",
+    b"not json",
+    b"[1]",
+    b'{"format": 1, "pieces": 5}',
+    b'{"format": 1, "pieces": ["while"]}',
+    b"\xff\xfe",
+])
+def test_malformed_vocabulary_is_data_error(tmp_path, request, capsys, content):
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / "vocab.json").write_bytes(content)
+    config = {**MICRO_CONFIG, "corpus_dir": str(request.config.rootpath / "corpus"), "work_dir": str(work)}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["evaluate", "--config", str(config_path), "--out", str(tmp_path / "eval")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert "vocab.json" in err
+    assert [p.name for p in work.iterdir()] == ["vocab.json"] and not (tmp_path / "eval").exists()
