@@ -7,7 +7,8 @@ loads. Round-tripping a model through save/load reproduces its outputs
 bit-for-bit on the same platform and dtype. Loading draws no random
 initialisation: the model is built from the stored arrays. A path that
 is a directory, or a file that is not a whole zip archive (truncated,
-or another format), raises DataError.
+or another format), raises DataError. Saving writes a temporary file and
+renames it into place, so a failed save leaves the old checkpoint whole.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..util import DataError
+from ..util import DataError, replaced_atomically
 from .transformer import ModelConfig, Seq2SeqModel
 
 CHECKPOINT_FORMAT = 1
@@ -36,7 +37,7 @@ def save_checkpoint(model: Seq2SeqModel, path: str | Path) -> None:
     }
     arrays = {f"param/{name}": tensor.data for name, tensor in model.params.items()}
     arrays[_META_KEY] = np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)
-    with open(path, "wb") as fh:
+    with replaced_atomically(path) as fh:
         np.savez(fh, **arrays)
 
 

@@ -1,14 +1,16 @@
-"""Small shared helpers: the data error, canonical JSON, JSON artifact
-files, stable hashing, seeded RNG derivation, and an order-preserving
-parallel map."""
+"""Small shared helpers: the data error, canonical JSON, artifact files
+replaced by rename, stable hashing, seeded RNG derivation, and an
+order-preserving parallel map."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar
+from typing import BinaryIO, Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -25,9 +27,27 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
+@contextmanager
+def replaced_atomically(path: str | Path) -> Iterator[BinaryIO]:
+    """A binary file for the new content of `path`: a temporary file beside
+    it, renamed onto `path` when the block ends. If the block raises, the
+    temporary file is removed, so `path` keeps its old bytes (or stays
+    absent) and never holds a partial write."""
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "wb") as fh:
+            yield fh
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
 def write_json(path: str | Path, obj) -> None:
     """Write a JSON artifact: two-space indent, sorted keys, final newline."""
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with replaced_atomically(path) as fh:
+        fh.write((json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def content_hash(obj) -> str:

@@ -315,3 +315,19 @@ def test_checkpoint_rejects_wrong_files(tmp_path):
     np.savez(path, foo=np.zeros(3))
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+def test_interrupted_save_keeps_the_old_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(tiny_model(seed=21), path)
+    before = path.read_bytes()
+
+    def failing_savez(fh, **arrays):
+        fh.write(b"PK\x03\x04 half an archive")
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(np, "savez", failing_savez)
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(tiny_model(seed=22), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
