@@ -1,8 +1,9 @@
 """AST node definitions for the Jay mini-language.
 
-All nodes are frozen dataclasses. Location spans are excluded from
-equality and hashing, so ``a == b`` is structural equality up to
-formatting, which is exactly what normalized AST comparison needs.
+All nodes are frozen dataclasses with slots, so that no node carries a
+per-instance dict. Location spans are excluded from equality and
+hashing, so ``a == b`` is structural equality up to formatting, which
+is exactly what normalized AST comparison needs.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ INT_ARRAY = "int[]"
 TYPES = (INT, BOOL, INT_ARRAY)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Span:
     """Inclusive 1-based line range."""
 
@@ -32,7 +33,7 @@ class Span:
         return f"{self.start_line}:{self.end_line}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceProgram:
     """Named UTF-8 source text with a 1-based line index."""
 
@@ -51,7 +52,7 @@ class SourceProgram:
         return len(self.lines)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diagnostic:
     kind: str  # LexError | ParseError | TypeError
     span: Span
@@ -72,38 +73,38 @@ class MiniLangError(Exception):
 # --- expressions ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntLit:
     value: int
     span: Span = field(compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoolLit:
     value: bool
     span: Span = field(compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
     span: Span = field(compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArrayLit:
     items: tuple["Expr", ...]
     span: Span = field(compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unary:
     op: str  # "-" | "!"
     operand: "Expr"
     span: Span = field(compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Binary:
     op: str
     left: "Expr"
@@ -111,14 +112,14 @@ class Binary:
     span: Span = field(compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Call:
     func: str
     args: tuple["Expr", ...]
     span: Span = field(compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Index:
     base: "Expr"
     index: "Expr"
@@ -131,7 +132,7 @@ Expr = Union[IntLit, BoolLit, Var, ArrayLit, Unary, Binary, Call, Index]
 # --- statements ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Let:
     name: str
     type: str
@@ -139,14 +140,14 @@ class Let:
     span: Span = field(compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assign:
     name: str
     value: Expr
     span: Span = field(compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssignIndex:
     name: str
     index: Expr
@@ -154,13 +155,13 @@ class AssignIndex:
     span: Span = field(compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     statements: tuple["Stmt", ...]
     span: Span = field(compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class If:
     cond: Expr
     then_block: Block
@@ -168,14 +169,14 @@ class If:
     span: Span = field(compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class While:
     cond: Expr
     body: Block
     span: Span = field(compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Return:
     value: Expr
     span: Span = field(compare=False)
@@ -184,13 +185,13 @@ class Return:
 Stmt = Union[Let, Assign, AssignIndex, If, While, Return]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Param:
     name: str
     type: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FunctionDecl:
     name: str
     params: tuple[Param, ...]
@@ -199,7 +200,7 @@ class FunctionDecl:
     span: Span = field(compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ast:
     functions: tuple[FunctionDecl, ...]
 

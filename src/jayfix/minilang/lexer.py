@@ -1,8 +1,16 @@
-"""Tokenizer for the Jay mini-language."""
+"""Tokenizer for the Jay mini-language.
+
+One compiled pattern splits the source into lexemes, left to right:
+a blank run (space, tab, carriage return), a newline, a `//` comment,
+an ASCII number, a word, an operator (longest first), or any other
+single character. Blanks and comments are dropped; a word is a keyword
+or an identifier; the catch-all character is a LexError.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .ast import Diagnostic, MiniLangError, Span
 
@@ -21,13 +29,23 @@ OPERATORS = [
     "(", ")", "{", "}", "[", "]", ",", ";", ":",
 ]
 
+# Blanks and comments match the empty group. `\w` is exactly
+# `str.isalnum()` plus `_`, so a word runs as far as an identifier does;
+# one that starts with a non-ASCII digit or numeral (`²`, `½`, `٣`) is
+# rejected at its first character.
+_LEXEME_RE = re.compile(
+    r"[ \t\r]+|//[^\n]*|(\n|[0-9]+|\w+|"
+    + "|".join(re.escape(op) for op in OPERATORS)
+    + r"|.)"
+)
 
-@dataclass(frozen=True)
-class Token:
+_FIXED_KINDS = {**{op: "op" for op in OPERATORS}, **{kw: "kw" for kw in KEYWORDS}}
+
+
+class Token(NamedTuple):
     type: str  # "ident" | "number" | "kw" | "op" | "eof"
     value: str
     line: int
-    col: int
 
 
 def tokenize(text: str) -> list[Token]:
@@ -36,54 +54,22 @@ def tokenize(text: str) -> list[Token]:
     `//` comments run to end of line and are dropped.
     """
     tokens: list[Token] = []
-    i = 0
     line = 1
-    col = 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
+    for lexeme in filter(None, _LEXEME_RE.findall(text)):
+        kind = _FIXED_KINDS.get(lexeme)
+        if kind is not None:
+            tokens.append(Token(kind, lexeme, line))
+            continue
+        first = lexeme[0]
+        if first == "\n":
             line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isalpha() or c == "_":
-            start = i
-            start_col = col
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-                col += 1
-            word = text[start:i]
-            kind = "kw" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, line, start_col))
-            continue
-        if c in DIGITS:
-            start = i
-            start_col = col
-            while i < n and text[i] in DIGITS:
-                i += 1
-                col += 1
-            tokens.append(Token("number", text[start:i], line, start_col))
-            continue
-        matched = None
-        for op in OPERATORS:
-            if text.startswith(op, i):
-                matched = op
-                break
-        if matched is None:
+        elif first in DIGITS:
+            tokens.append(Token("number", lexeme, line))
+        elif first.isalpha() or first == "_":
+            tokens.append(Token("ident", lexeme, line))
+        else:
             raise MiniLangError(
-                Diagnostic("LexError", Span(line, line), f"unexpected character {c!r}")
+                Diagnostic("LexError", Span(line, line), f"unexpected character {first!r}")
             )
-        tokens.append(Token("op", matched, line, col))
-        i += len(matched)
-        col += len(matched)
-    tokens.append(Token("eof", "", line, col))
+    tokens.append(Token("eof", "", line))
     return tokens

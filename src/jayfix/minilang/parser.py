@@ -13,9 +13,13 @@ Grammar (statements are the mutation/repair granularity):
                | "while" "(" expr ")" block
                | "return" expr ";"
 
-Expressions use conventional precedence: || < && < ==/!= < relational
-< additive < multiplicative < unary < postfix indexing. Parentheses
-group but leave no trace in the AST.
+Binary operators are parsed by precedence climbing over one table,
+`PRECEDENCE`: || < && < ==/!= < relational < additive < multiplicative,
+each level left-associative. Unary operators bind tighter, and postfix
+indexing tighter still. Parentheses group but leave no trace in the
+AST. An expression may nest at most MAX_EXPR_DEPTH levels, counting
+sub-expressions, unary operators, and each operator or index that a
+chain adds to the left.
 
 The parser stops at the first error and reports a single diagnostic.
 """
@@ -58,12 +62,23 @@ from .lexer import Token, tokenize
 
 MAX_EXPR_DEPTH = 200
 
+# Binding power of each binary operator, loosest first.
+PRECEDENCE = {
+    "||": 1,
+    "&&": 2,
+    "==": 3, "!=": 3,
+    "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5,
+    "*": 6, "/": 6, "%": 6,
+}
+
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
+        self.height = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -74,9 +89,10 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def at(self, type_: str, value: str | None = None) -> bool:
-        tok = self.peek()
-        return tok.type == type_ and (value is None or tok.value == value)
+    def at(self, text: str) -> bool:
+        """Is the next token the operator or keyword `text`? No other
+        token has the text of one."""
+        return self.tokens[self.pos].value == text
 
     def fail(self, message: str, tok: Token | None = None) -> MiniLangError:
         tok = tok or self.peek()
@@ -85,36 +101,40 @@ class _Parser:
             Diagnostic("ParseError", Span(tok.line, tok.line), f"{message}, got {shown!r}")
         )
 
-    def expect(self, type_: str, value: str | None = None) -> Token:
-        if not self.at(type_, value):
-            want = value if value is not None else type_
-            raise self.fail(f"expected {want!r}")
+    def expect(self, text: str) -> Token:
+        if not self.at(text):
+            raise self.fail(f"expected {text!r}")
+        return self.advance()
+
+    def expect_ident(self) -> Token:
+        if self.peek().type != "ident":
+            raise self.fail("expected 'ident'")
         return self.advance()
 
     # --- declarations ---
 
     def parse_program(self) -> Ast:
         functions: list[FunctionDecl] = []
-        while not self.at("eof"):
+        while self.peek().type != "eof":
             functions.append(self.parse_function())
         return Ast(tuple(functions))
 
     def parse_function(self) -> FunctionDecl:
-        start = self.expect("kw", "fn")
-        name = self.expect("ident").value
-        self.expect("op", "(")
+        start = self.expect("fn")
+        name = self.expect_ident().value
+        self.expect("(")
         params: list[Param] = []
-        if not self.at("op", ")"):
+        if not self.at(")"):
             while True:
-                pname = self.expect("ident").value
-                self.expect("op", ":")
+                pname = self.expect_ident().value
+                self.expect(":")
                 params.append(Param(pname, self.parse_type()))
-                if self.at("op", ","):
+                if self.at(","):
                     self.advance()
                     continue
                 break
-        self.expect("op", ")")
-        self.expect("op", "->")
+        self.expect(")")
+        self.expect("->")
         return_type = self.parse_type()
         body = self.parse_block()
         span = Span(start.line, body.span.end_line)
@@ -122,79 +142,79 @@ class _Parser:
 
     def parse_type(self) -> str:
         tok = self.peek()
-        if self.at("kw", "int"):
+        if self.at("int"):
             self.advance()
-            if self.at("op", "["):
+            if self.at("["):
                 self.advance()
-                self.expect("op", "]")
+                self.expect("]")
                 return INT_ARRAY
             return INT
-        if self.at("kw", "bool"):
+        if self.at("bool"):
             self.advance()
             return BOOL
         raise self.fail("expected a type ('int', 'int[]' or 'bool')", tok)
 
     def parse_block(self) -> Block:
-        start = self.expect("op", "{")
+        start = self.expect("{")
         statements: list[Stmt] = []
-        while not self.at("op", "}"):
-            if self.at("eof"):
+        while not self.at("}"):
+            if self.peek().type == "eof":
                 raise self.fail("unterminated block")
             statements.append(self.parse_statement())
-        end = self.expect("op", "}")
+        end = self.expect("}")
         return Block(tuple(statements), Span(start.line, end.line))
 
     # --- statements ---
 
     def parse_statement(self) -> Stmt:
-        if self.at("kw", "let"):
+        if self.at("let"):
             return self.parse_let()
-        if self.at("kw", "if"):
+        if self.at("if"):
             return self.parse_if()
-        if self.at("kw", "while"):
+        if self.at("while"):
             return self.parse_while()
-        if self.at("kw", "return"):
+        if self.at("return"):
             return self.parse_return()
-        if self.at("ident"):
+        if self.peek().type == "ident":
             return self.parse_assignment()
         raise self.fail("expected a statement")
 
     def parse_let(self) -> Let:
-        start = self.expect("kw", "let")
-        name = self.expect("ident").value
-        self.expect("op", ":")
+        start = self.expect("let")
+        name = self.expect_ident().value
+        self.expect(":")
         type_ = self.parse_type()
-        self.expect("op", "=")
+        self.expect("=")
         value = self.parse_expression()
-        end = self.expect("op", ";")
+        end = self.expect(";")
         return Let(name, type_, value, Span(start.line, end.line))
 
     def parse_assignment(self) -> Union[Assign, AssignIndex]:
-        name_tok = self.expect("ident")
-        if self.at("op", "["):
+        name_tok = self.expect_ident()
+        if self.at("["):
             self.advance()
             index = self.parse_expression()
-            self.expect("op", "]")
-            self.expect("op", "=")
+            self.expect("]")
+            self.expect("=")
             value = self.parse_expression()
-            end = self.expect("op", ";")
+            end = self.expect(";")
             return AssignIndex(name_tok.value, index, value, Span(name_tok.line, end.line))
-        self.expect("op", "=")
+        self.expect("=")
         value = self.parse_expression()
-        end = self.expect("op", ";")
+        end = self.expect(";")
         return Assign(name_tok.value, value, Span(name_tok.line, end.line))
 
     def parse_if(self) -> If:
-        start = self.expect("kw", "if")
-        self.expect("op", "(")
+        start = self.expect("if")
+        self.expect("(")
         cond = self.parse_expression()
-        self.expect("op", ")")
+        self.expect(")")
         then_block = self.parse_block()
         else_branch: Union[Block, If, None] = None
         end_line = then_block.span.end_line
-        if self.at("kw", "else"):
+        if self.at("else"):
             self.advance()
-            if self.at("kw", "if"):
+            if self.at("if"):
                 else_branch = self.parse_if()
             else:
                 else_branch = self.parse_block()
@@ -202,119 +222,119 @@ class _Parser:
         return If(cond, then_block, else_branch, Span(start.line, end_line))
 
     def parse_while(self) -> While:
-        start = self.expect("kw", "while")
-        self.expect("op", "(")
+        start = self.expect("while")
+        self.expect("(")
         cond = self.parse_expression()
-        self.expect("op", ")")
+        self.expect(")")
         body = self.parse_block()
         return While(cond, body, Span(start.line, body.span.end_line))
 
     def parse_return(self) -> Return:
-        start = self.expect("kw", "return")
+        start = self.expect("return")
         value = self.parse_expression()
-        end = self.expect("op", ";")
+        end = self.expect(";")
         return Return(value, Span(start.line, end.line))
 
     # --- expressions ---
+    #
+    # `depth` counts the sub-expressions and unary operators that enclose
+    # the token being parsed; `height` is how far the expression parsed
+    # last reaches below its own level, in the same units. Operators and
+    # indexing that a loop chains to the left count through `height`, so
+    # no part of an expression lies more than MAX_EXPR_DEPTH levels deep.
 
-    def parse_expression(self) -> Expr:
+    def nest(self) -> None:
         self.depth += 1
         if self.depth > MAX_EXPR_DEPTH:
             raise self.fail("expression nesting too deep")
-        try:
-            return self.parse_or()
-        finally:
-            self.depth -= 1
 
-    def _binary_chain(self, sub, ops: tuple[str, ...]) -> Expr:
-        left = sub()
-        while self.peek().type == "op" and self.peek().value in ops:
-            op = self.advance().value
-            right = sub()
+    def reach(self, height: int) -> None:
+        self.height = height
+        if self.depth + height > MAX_EXPR_DEPTH:
+            raise self.fail("expression nesting too deep")
+
+    def parse_expression(self) -> Expr:
+        self.nest()
+        expr = self.parse_binary(1)
+        self.depth -= 1
+        self.height += 1
+        return expr
+
+    def parse_binary(self, min_precedence: int) -> Expr:
+        """Precedence climbing: the operators that bind at least as tightly
+        as `min_precedence`, each level left-associative."""
+        left = self.parse_unary()
+        while (precedence := PRECEDENCE.get(op := self.peek().value, 0)) >= min_precedence:
+            height = self.height
+            self.advance()
+            right = self.parse_binary(precedence + 1)
+            self.reach(max(height, self.height) + 1)
             left = Binary(op, left, right, Span(left.span.start_line, right.span.end_line))
         return left
 
-    def parse_or(self) -> Expr:
-        return self._binary_chain(self.parse_and, ("||",))
-
-    def parse_and(self) -> Expr:
-        return self._binary_chain(self.parse_equality, ("&&",))
-
-    def parse_equality(self) -> Expr:
-        return self._binary_chain(self.parse_relational, ("==", "!="))
-
-    def parse_relational(self) -> Expr:
-        return self._binary_chain(self.parse_additive, ("<", "<=", ">", ">="))
-
-    def parse_additive(self) -> Expr:
-        return self._binary_chain(self.parse_multiplicative, ("+", "-"))
-
-    def parse_multiplicative(self) -> Expr:
-        return self._binary_chain(self.parse_unary, ("*", "/", "%"))
-
     def parse_unary(self) -> Expr:
         tok = self.peek()
-        if tok.type == "op" and tok.value in ("-", "!"):
-            self.depth += 1
-            if self.depth > MAX_EXPR_DEPTH:
-                raise self.fail("expression nesting too deep")
-            try:
-                self.advance()
-                operand = self.parse_unary()
-            finally:
-                self.depth -= 1
+        if tok.value == "-" or tok.value == "!":
+            self.nest()
+            self.advance()
+            operand = self.parse_unary()
+            self.depth -= 1
+            self.height += 1
             return Unary(tok.value, operand, Span(tok.line, operand.span.end_line))
         return self.parse_postfix()
 
     def parse_postfix(self) -> Expr:
         expr = self.parse_primary()
-        while self.at("op", "["):
+        while self.at("["):
+            height = self.height
             self.advance()
             index = self.parse_expression()
-            end = self.expect("op", "]")
+            end = self.expect("]")
+            self.reach(max(height + 1, self.height))
             expr = Index(expr, index, Span(expr.span.start_line, end.line))
         return expr
 
+    def parse_expressions(self, close: str) -> tuple[Expr, ...]:
+        """Comma-separated expressions up to `close`, which is left unread."""
+        items: list[Expr] = []
+        height = 0
+        if not self.at(close):
+            while True:
+                items.append(self.parse_expression())
+                height = max(height, self.height)
+                if not self.at(","):
+                    break
+                self.advance()
+        self.height = height
+        return tuple(items)
+
     def parse_primary(self) -> Expr:
         tok = self.peek()
+        self.height = 0
         if tok.type == "number":
             self.advance()
             return IntLit(int(tok.value), Span(tok.line, tok.line))
-        if self.at("kw", "true") or self.at("kw", "false"):
+        if tok.value == "true" or tok.value == "false":
             self.advance()
             return BoolLit(tok.value == "true", Span(tok.line, tok.line))
         if tok.type == "ident":
             self.advance()
-            if self.at("op", "("):
+            if self.at("("):
                 self.advance()
-                args: list[Expr] = []
-                if not self.at("op", ")"):
-                    while True:
-                        args.append(self.parse_expression())
-                        if self.at("op", ","):
-                            self.advance()
-                            continue
-                        break
-                end = self.expect("op", ")")
-                return Call(tok.value, tuple(args), Span(tok.line, end.line))
+                args = self.parse_expressions(")")
+                end = self.expect(")")
+                return Call(tok.value, args, Span(tok.line, end.line))
             return Var(tok.value, Span(tok.line, tok.line))
-        if self.at("op", "("):
+        if self.at("("):
             self.advance()
             expr = self.parse_expression()
-            self.expect("op", ")")
+            self.expect(")")
             return expr
-        if self.at("op", "["):
-            start = self.advance()
-            items: list[Expr] = []
-            if not self.at("op", "]"):
-                while True:
-                    items.append(self.parse_expression())
-                    if self.at("op", ","):
-                        self.advance()
-                        continue
-                    break
-            end = self.expect("op", "]")
-            return ArrayLit(tuple(items), Span(start.line, end.line))
+        if self.at("["):
+            self.advance()
+            items = self.parse_expressions("]")
+            end = self.expect("]")
+            return ArrayLit(items, Span(tok.line, end.line))
         raise self.fail("expected an expression")
 
 

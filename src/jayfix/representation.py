@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import re
+import string
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,7 +41,13 @@ _FIXED_LEXEMES = [
     *OPERATORS,
 ]
 
+# A newline, a run of spaces, an ASCII identifier, an operator (longest
+# first), or any other single character.
+_ATOM_RE = re.compile(
+    r"\n| +|[A-Za-z_][A-Za-z0-9_]*|" + "|".join(re.escape(op) for op in OPERATORS) + r"|."
+)
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_IDENT_START = frozenset(string.ascii_letters + "_")
 _CAMEL_RE = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
 
 VOCAB_FORMAT = 1
@@ -79,45 +86,18 @@ def split_identifier(word: str) -> list[str]:
 def _atoms(text: str) -> list[str]:
     """Scan text into token surface strings (lossless: ''.join == text)."""
     out: list[str] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            out.append("\n")
-            i += 1
-            continue
-        if c == " ":
-            j = i
-            while j < n and text[j] == " ":
-                j += 1
-            run = j - i
+    for atom in _ATOM_RE.findall(text):
+        first = atom[0]
+        if first in _IDENT_START:
+            out.extend(split_identifier(atom))
+        elif first == " ":
+            run = len(atom)
             while run > MAX_SPACE_RUN:
                 out.append(" " * MAX_SPACE_RUN)
                 run -= MAX_SPACE_RUN
             out.append(" " * run)
-            i = j
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            out.extend(split_identifier(m.group()))
-            i = m.end()
-            continue
-        if c.isdigit():
-            out.append(c)
-            i += 1
-            continue
-        matched = None
-        for op in OPERATORS:
-            if text.startswith(op, i):
-                matched = op
-                break
-        if matched:
-            out.append(matched)
-            i += len(matched)
         else:
-            out.append(c)  # falls back to bytes at encode time
-            i += 1
+            out.append(atom)  # a character that is no lexeme falls back to bytes at encode time
     return out
 
 

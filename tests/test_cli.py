@@ -432,3 +432,30 @@ def test_malformed_vocabulary_is_data_error(tmp_path, request, capsys, content):
     assert err.startswith("data error: ") and err.count("\n") == 1 and "Traceback" not in err
     assert "vocab.json" in err
     assert [p.name for p in work.iterdir()] == ["vocab.json"] and not (tmp_path / "eval").exists()
+
+
+def test_a_corpus_entry_nested_too_deep_is_rejected_in_one_line(tmp_path, request, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for suffix in (".jay", ".tests.json"):
+        shutil.copy(request.config.rootpath / "corpus" / f"abs_value{suffix}", corpus)
+    (corpus / "chain.jay").write_text(
+        "fn chain(a: int) -> int {\n    return " + " + ".join(["a"] * 5000) + ";\n}\n"
+    )
+    (corpus / "chain.tests.json").write_text(
+        json.dumps([{"id": "t1", "entry": "chain", "args": [1], "expect": 5000}])
+    )
+    (corpus / "manifest.json").write_text(json.dumps([
+        {"name": "abs_value", "status": "correct", "statements": 3},
+        {"name": "chain", "status": "correct", "statements": 1},
+    ]))
+    config = {**MICRO_CONFIG, "corpus_dir": str(corpus), "work_dir": str(tmp_path / "work")}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["gen-mechanical", "--config", str(config_path)]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "chain" in line] == [
+        "rejected corpus entry chain: does not compile: "
+        "ParseError at line 2:2: expression nesting too deep, got '+'"
+    ]
