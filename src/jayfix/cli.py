@@ -45,7 +45,7 @@ from .model import (
     train,
 )
 from .representation import RegionTooLong, Vocabulary
-from .util import content_hash, derive_seed, write_json
+from .util import content_hash, derive_seed, read_text, write_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -269,7 +269,7 @@ def cmd_repair(args) -> int:
     program_path = Path(args.program)
     if not program_path.exists():
         raise DataError(f"missing program {program_path}")
-    program = SourceProgram(program_path.stem, program_path.read_text(encoding="utf-8"))
+    program = SourceProgram(program_path.stem, read_text(program_path))
     span = _parse_span(args.span)
     if span.end_line > program.line_count:
         raise DataError(f"span {span} outside file of {program.line_count} lines")
@@ -277,7 +277,7 @@ def cmd_repair(args) -> int:
     suite = load_suite(suite_path) if suite_path.exists() else None
     reference = reference_ast = None
     if args.reference:
-        reference = SourceProgram("reference", Path(args.reference).read_text(encoding="utf-8"))
+        reference = SourceProgram("reference", read_text(args.reference))
         reference_ast, diags = analyze(reference)
         if reference_ast is None or diags:
             raise DataError("reference program does not compile")

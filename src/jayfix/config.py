@@ -55,7 +55,11 @@ class RunConfig:
 
     @staticmethod
     def from_file(path: str | Path) -> "RunConfig":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except IsADirectoryError as err:
+            raise DataError(f"config {path} is a directory, not a file") from err
+        raw = json.loads(text)
         return RunConfig.from_json(raw)
 
     @staticmethod

@@ -40,7 +40,7 @@ from .representation import (
     build_input,
     encode_target,
 )
-from .util import content_hash, round_half_up
+from .util import DataError, content_hash, read_text, round_half_up
 
 STATUS_CORRECT = "correct"
 STATUS_BUGGY = "buggy"
@@ -77,7 +77,7 @@ class RejectedEntry:
 
 
 def load_suite(path: Path) -> TestSuite:
-    raw = json.loads(path.read_text(encoding="utf-8"))
+    raw = json.loads(read_text(path))
     if not isinstance(raw, list) or not raw:
         raise CorpusError(f"{path.name}: suite must be a nonempty array")
     cases = []
@@ -126,7 +126,7 @@ def load_corpus(
             suite_path = directory / f"{name}.tests.json"
             if not suite_path.exists():
                 raise CorpusError("missing .tests.json suite")
-            program = SourceProgram(name, source_path.read_text(encoding="utf-8"))
+            program = SourceProgram(name, read_text(source_path))
             suite = load_suite(suite_path)
             ast, diagnostics = analyze(program)
             if ast is None or diagnostics:
@@ -145,14 +145,14 @@ def load_corpus(
                 ref_path = directory / item["reference_fix"]
                 if not ref_path.exists():
                     raise CorpusError("missing reference fix file")
-                reference = SourceProgram(name + ".fix", ref_path.read_text(encoding="utf-8"))
+                reference = SourceProgram(name + ".fix", read_text(ref_path))
                 ref_ast, ref_diags = analyze(reference)
                 if ref_ast is None or ref_diags:
                     raise CorpusError("reference fix does not compile")
                 if not run_tests(ref_ast, suite, fuel=fuel).all_pass:
                     raise CorpusError("reference fix fails tests")
             entries.append(CorpusEntry(program, suite, status, ast, reference, ref_ast))
-        except (CorpusError, json.JSONDecodeError, KeyError, ValueError) as err:
+        except (CorpusError, DataError, json.JSONDecodeError, KeyError, ValueError) as err:
             rejected.append(RejectedEntry(name, str(err)))
     return entries, rejected
 

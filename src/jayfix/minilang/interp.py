@@ -14,17 +14,31 @@ integer overflow) become RUNTIME_ERROR outcomes. Arrays are plain value
 types: assignment and calls copy. Reading an array only to index it or
 take its length does not copy it.
 
-A loop that comes back to a state it was in ends FUEL_EXHAUSTED at once,
-which is the outcome its budget would have reached. A program has no
+A loop that comes back to a control state it was in ends FUEL_EXHAUSTED
+at once, which is the outcome this budget reaches. A program has no
 globals and no I/O, so the state at a `while` condition check is the
-calling function's frame: if two checks of one loop run see equal frames,
-the loop repeats forever and every budget runs out inside it. The loop
-compares each check's frame with a deep copy taken at its check 1, 2, 4,
-8, ... (Brent, "An improved Monte Carlo factorization algorithm", BIT
-1980), so it finds a cycle within a few iterations of its period. Values
-must match in type as well (True == 1 holds in Python, not in Jay), and
-only frames of at most MAX_STATE_VALUES values are copied, so that the
-check costs each iteration a bounded amount.
+calling function's frame. The loop compares each check's state with a
+deep copy taken at its check 1, 2, 4, 8, ... (Brent, "An improved Monte
+Carlo factorization algorithm", BIT 1980), so it finds a cycle within a
+few iterations of its period. Values must match in type as well (True ==
+1 holds in Python, not in Jay), and only frames of at most
+MAX_STATE_VALUES values are copied, so that the check costs each
+iteration a bounded amount.
+
+The state compared is the whole frame, except in a loop that calls no
+function and has accumulators: slots it writes whole and reads only as
+`a` in its updates `a = a + e` and `a = a - e`. No condition, index,
+divisor, modulus, allocation size or `return` in the loop reads one, nor
+any other value it assigns, so an accumulator's value never changes
+what the loop does, and the values assigned to it read only control
+slots and constants. Such a loop compares only the control slots it
+writes. A repeat of them proves that the loop never exits and that each
+later period repeats the same steps, moving each accumulator by the
+same amount. The loop then runs one more period on a copy of its frame
+that records each accumulator's least and greatest value, and ends the
+run only if every accumulator holds an int and none can leave int64
+before the budget runs out. Otherwise it runs on, to the overflow or to
+the end of its budget.
 """
 
 from __future__ import annotations
@@ -198,12 +212,80 @@ def _plain(f: list) -> bool:
     return len({id(array) for array in arrays}) == len(arrays)
 
 
-def _snapshot(f: list) -> Optional[list]:
-    """A deep copy of frame `f` to compare later checks with, or None when
-    `f` is not a plain state."""
+def _snapshot(f: list, project: Optional[Callable] = None):
+    """A deep copy of frame `f`, or of the tuple `project(f)`, to compare
+    later checks with, or None when `f` is not a plain state."""
     if not _plain(f):
         return None
-    return [list(value) if isinstance(value, list) else value for value in f]
+    if project is None:
+        return [list(value) if isinstance(value, list) else value for value in f]
+    return tuple(list(value) if isinstance(value, list) else value for value in project(f))
+
+
+def _projection(slots: tuple[int, ...]) -> Callable:
+    """`f -> tuple(f[slot] for slot in slots)`, in C where it can be."""
+    if len(slots) > 1:
+        return operator.itemgetter(*slots)
+    if slots:
+        (slot,) = slots
+        return lambda f: (f[slot],)
+    return lambda f: ()
+
+
+class _Recorder(list):
+    """A copy of a loop's frame to run one period of the loop on, from a
+    check whose control state repeats an earlier one's to the next such
+    check. It keeps the least and the greatest value of each accumulator.
+    The period repeats one that went on to the next check, so the loop
+    does not exit inside it: it reaches that check or the run ends."""
+
+    def __init__(self, f: list, accumulators: tuple[int, ...], fuel: int):
+        super().__init__(f)
+        self.fuel = fuel  # left after the period's first check
+        self.start = {slot: f[slot] for slot in accumulators}
+        self.low, self.high = dict(self.start), dict(self.start)
+        self.ints = True  # every value written to an accumulator is an int
+
+    def __setitem__(self, slot, value):
+        super().__setitem__(slot, value)
+        if slot in self.start:
+            if type(value) is not int:
+                self.ints = False
+            elif value < self.low[slot]:
+                self.low[slot] = value
+            elif value > self.high[slot]:
+                self.high[slot] = value
+
+    def bounded(self, fuel: int) -> bool:
+        """Whether every accumulator stays inside int64 while later periods
+        repeat this one until `fuel` runs out: each takes this period's
+        values, moved by its change over the period once for each period
+        that can start."""
+        if not self.ints:
+            return False
+        periods = fuel // (self.fuel - fuel) + 1
+        for slot, start in self.start.items():
+            drift = periods * (self[slot] - start)
+            if self.low[slot] + min(drift, 0) < INT_MIN or self.high[slot] + max(drift, 0) > INT_MAX:
+                return False
+        return True
+
+
+def _repeated(f: list, g: list, r: _Run, accumulators: tuple[int, ...]) -> list:
+    """At a check of a loop on frame `f` whose control state in `g` repeats
+    an earlier one: end the run, or return the frame to go on with, a
+    `_Recorder` of the next period or else `f`."""
+    if g is f:
+        if not accumulators:
+            raise _FuelExhausted
+        if all(type(f[slot]) is int for slot in accumulators):
+            return _Recorder(f, accumulators, r.fuel)
+        return f
+    if g.bounded(r.fuel):
+        raise _FuelExhausted
+    for slot, value in enumerate(g):
+        f[slot] = value
+    return f
 
 
 def _undefined(name: str):
@@ -217,7 +299,13 @@ def _undefined(name: str):
 
 
 class _Compiler:
-    """Compiles one function; `scopes` maps each visible name to its slot."""
+    """Compiles one function; `scopes` maps each visible name to its slot.
+
+    A loop's split into control slots and accumulators reads what its
+    guard and body added to `reads`, the slots read, and to `writes`, the
+    slots written with the kind of each write ("update" for `a = a + e`
+    or `a = a - e`, "whole" or "element"), and whether they added to
+    `calls`, the calls of user functions."""
 
     def __init__(self, arity: dict[str, int]):
         self.arity = arity
@@ -225,6 +313,9 @@ class _Compiler:
         self.slots = 0
         self.level = 0  # statements and expressions around the node being compiled
         self.deepest = 0
+        self.reads: list[int] = []
+        self.writes: list[tuple[int, str]] = []
+        self.calls = 0
 
     def declare(self, name: str) -> int:
         scope = self.scopes[-1]
@@ -280,13 +371,17 @@ class _Compiler:
 
     def _statement(self, stmt):
         if isinstance(stmt, Let):
+            own = self.updated(stmt.value)
             value = self.expr(stmt.value)  # before the new name is in scope
-            return _store(self.declare(stmt.name), value)
+            slot = self.declare(stmt.name)
+            self.writes.append((slot, "update" if own == slot else "whole"))
+            return _store(slot, value)
         if isinstance(stmt, (Assign, AssignIndex)):
             slot = self.resolve(stmt.name)
             if slot is None:
                 return _undefined(stmt.name)
             if isinstance(stmt, Assign):
+                self.writes.append((slot, "update" if self.updated(stmt.value) == slot else "whole"))
                 return _store(slot, self.expr(stmt.value))
             return self.assign_index(slot, stmt)
         if isinstance(stmt, If):
@@ -305,8 +400,39 @@ class _Compiler:
             return ex
         raise AssertionError(f"unknown statement {stmt!r}")  # pragma: no cover
 
+    def updated(self, value) -> Optional[int]:
+        """The slot that `a` of a value `a + e` or `a - e` reads: writing
+        the value to that slot updates it."""
+        if isinstance(value, Binary) and value.op in ("+", "-") and isinstance(value.left, Var):
+            return self.resolve(value.left.name)
+        return None
+
+    def split(self, reads: int, writes: int, calls: int) -> tuple[tuple[int, ...], Optional[Callable]]:
+        """The accumulators of the loop whose guard and body added
+        `self.reads[reads:]`, `self.writes[writes:]` and no call, and the
+        projection of a frame to the other slots the loop writes, guard
+        slots first; or `((), None)`, to compare whole frames.
+
+        An accumulator is a slot the loop writes whole and reads only as
+        `a` in its updates `a = a + e` and `a = a - e`. A slot the loop
+        does not write is not compared: while frames are plain no other
+        slot can hold its array."""
+        if self.calls > calls:
+            return (), None
+        loop, read = self.writes[writes:], self.reads[reads:]
+        updates = [slot for slot, kind in loop if kind == "update"]
+        accumulators = {slot for slot, kind in loop if read.count(slot) == updates.count(slot)}
+        accumulators.difference_update(slot for slot, kind in loop if kind == "element")
+        if not accumulators:
+            return (), None
+        written = dict.fromkeys(slot for slot, _ in loop)
+        order = dict.fromkeys([*read, *written])  # the guard's slots first
+        compared = tuple(slot for slot in order if slot in written and slot not in accumulators)
+        return tuple(sorted(accumulators)), _projection(compared)
+
     def assign_index(self, slot: int, stmt: AssignIndex):
         index, value, name = self.expr(stmt.index), self.expr(stmt.value), stmt.name
+        self.writes.append((slot, "element"))
 
         def ex(f, r):
             r.fuel -= 1
@@ -343,27 +469,33 @@ class _Compiler:
         return ex
 
     def while_(self, stmt: While):
+        mark = len(self.reads), len(self.writes), self.calls
         cond, body = self.expr(stmt.cond), self.block(stmt.body)
+        accumulators, project = self.split(*mark)
 
         def ex(f, r):
             r.fuel -= 1
             if r.fuel < 0:
                 raise _FuelExhausted
-            checks, next_snapshot, seen = 0, 1, None
+            g, checks, next_snapshot, seen = f, 0, 1, None  # g: the frame the loop runs on
             while True:
                 r.fuel -= 1  # each iteration's condition check costs fuel
                 if r.fuel < 0:
                     raise _FuelExhausted
-                # an earlier state again, with the same types (`==` takes True for 1): the loop never ends
-                if seen is not None and f == seen and repr(f) == repr(seen) and _plain(f):
-                    raise _FuelExhausted
+                # an earlier control state again, with the same types (`==` takes True for 1)
+                if seen is not None:
+                    state = g if project is None else project(g)
+                    if state == seen and repr(state) == repr(seen) and _plain(g):
+                        g, next_snapshot = _repeated(f, g, r, accumulators), 0
+                        if g is f:  # no cut: run on, with no more checks
+                            seen = None
                 checks += 1
                 if checks == next_snapshot:
-                    seen, next_snapshot = _snapshot(f), 2 * next_snapshot
-                if not cond(f, r):
+                    seen, next_snapshot = _snapshot(g, project), 2 * next_snapshot
+                if not cond(g, r):
                     return None
                 for inner in body:
-                    value = inner(f, r)
+                    value = inner(g, r)
                     if value is not None:
                         return value
 
@@ -418,6 +550,7 @@ class _Compiler:
         slot = self.resolve(name)
         if slot is None:
             return _undefined(name)
+        self.reads.append(slot)
         if not copy:
 
             def ev(f, r):
@@ -525,6 +658,7 @@ class _Compiler:
                 return [0] * n
 
             return ev
+        self.calls += 1
         if name not in self.arity:
             failure = f"undefined function '{name}'"
         elif len(args) != self.arity[name]:

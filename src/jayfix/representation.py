@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .minilang import SourceProgram, Span
 from .minilang.lexer import OPERATORS
-from .util import DataError, content_hash
+from .util import DataError, content_hash, read_text
 
 PAD, BOS, EOS, START_BUGGY, END_BUGGY, UNK = range(6)
 RESERVED_TOKENS = ["<pad>", "<s>", "</s>", "[START_BUGGY]", "[END_BUGGY]", "<unk>"]
@@ -142,10 +142,8 @@ class Vocabulary:
     def load(cls, path: str | Path) -> "Vocabulary":
         """Read a vocabulary `save` wrote; any other file raises DataError."""
         try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except IsADirectoryError as err:
-            raise DataError(f"{path}: a directory, not a vocabulary") from err
-        except ValueError as err:  # not UTF-8, or not JSON
+            payload = json.loads(read_text(path))
+        except ValueError as err:  # not JSON
             raise DataError(f"{path}: not a vocabulary ({err})") from err
         if not isinstance(payload, dict) or payload.get("format") != VOCAB_FORMAT:
             raise DataError(f"{path}: not a vocabulary of format {VOCAB_FORMAT}")

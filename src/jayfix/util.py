@@ -1,5 +1,5 @@
-"""Small shared helpers: the data error, canonical JSON, artifact files
-replaced by rename, stable hashing, seeded RNG derivation, and an
+"""Small shared helpers: the data error, reading an input text file,
+canonical JSON, artifact files replaced by rename, stable hashing, seeded RNG derivation, and an
 order-preserving parallel map."""
 
 from __future__ import annotations
@@ -20,6 +20,17 @@ R = TypeVar("R")
 
 class DataError(Exception):
     """Input that contradicts the data a run works on (exit code 2)."""
+
+
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of input file `path`. A directory in its place, a
+    file that cannot be read, or one that is not UTF-8 is a DataError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (IsADirectoryError, PermissionError) as err:
+        raise DataError(f"cannot read {path}: {err.strerror}") from err
+    except UnicodeDecodeError as err:
+        raise DataError(f"{path} is not UTF-8 text") from err
 
 
 def canonical_json(obj) -> str:

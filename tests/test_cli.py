@@ -459,3 +459,57 @@ def test_a_corpus_entry_nested_too_deep_is_rejected_in_one_line(tmp_path, reques
         "rejected corpus entry chain: does not compile: "
         "ParseError at line 2:2: expression nesting too deep, got '+'"
     ]
+
+
+def _broken_input(kind, root, corpus):
+    """The argv of a command one of whose inputs is a directory or not
+    UTF-8, and the directory it would write patches to."""
+    out = root / "patches"
+    program, reference = corpus / "gcd_buggy.jay", corpus / "gcd.jay"
+    if kind in ("program directory", "suite directory", "program not UTF-8", "reference not UTF-8"):
+        program = root / "prog.jay"
+        program.write_bytes((corpus / "gcd_buggy.jay").read_bytes())
+    if kind == "program directory":
+        program = corpus
+    elif kind == "reference directory":
+        reference = corpus
+    elif kind == "suite directory":
+        (root / "prog.tests.json").mkdir()
+    elif kind == "program not UTF-8":
+        program.write_bytes(b"\xff\xfe" + program.read_bytes())
+    elif kind == "reference not UTF-8":
+        reference = root / "ref.jay"
+        reference.write_bytes(b"fn \xff() -> int { return 0; }\n")
+    span = "1:1" if kind == "program directory" else "4:4"
+    return ["repair", str(program), "--span", span, "--reference", str(reference), "--out", str(out)], out
+
+
+@pytest.mark.parametrize("kind", [
+    "program directory",
+    "reference directory",
+    "suite directory",
+    "program not UTF-8",
+    "reference not UTF-8",
+])
+def test_an_unreadable_repair_input_is_data_error(workspace, tmp_path, capsys, kind):
+    _, config_path = workspace
+    corpus = Path(json.loads(Path(config_path).read_text())["corpus_dir"])
+    argv, out = _broken_input(kind, tmp_path, corpus)
+    assert main([*argv, "--config", str(config_path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen-mechanical", "init-train", "backtranslate", "evaluate", "repair", "gen-bugs"])
+def test_a_directory_for_a_config_is_data_error(workspace, tmp_path, capsys, command):
+    _, config_path = workspace
+    corpus = Path(json.loads(Path(config_path).read_text())["corpus_dir"])
+    argv = [command]
+    if command == "repair":
+        argv += [str(corpus / "gcd_buggy.jay"), "--span", "4:4"]
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(tmp_path), "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1 and "directory" in err
+    assert not out.exists()

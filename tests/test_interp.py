@@ -594,3 +594,242 @@ def test_cut_stops_a_repeating_loop_within_its_period():
 def test_only_small_flat_unshared_frames_are_plain(frame, plain):
     assert interp._plain(frame) is plain
     assert (interp._snapshot(frame) == frame) is plain
+
+
+# --- loops whose control repeats while accumulators grow ----------------------
+
+
+def _outcomes_by_fuel(ast, entry, args):
+    """The tree walker's outcome as a function of fuel: FUEL_EXHAUSTED
+    below the least fuel its run ends at, and the run's outcome from
+    there on (fuel only ever stops a run). Returns that least fuel, or
+    None when DEFAULT_FUEL does not end the run, and the outcome. The
+    least fuel is the compiled interpreter's, checked on the tree walker
+    one unit below it and at it."""
+    outcome = _run(treewalk.interpret, ast, entry, args, DEFAULT_FUEL)
+    if _exhausted(outcome):
+        return None, outcome
+    least = least_sufficient_fuel(lambda fuel: interpret(ast, entry, list(args), fuel))
+    assert _run(treewalk.interpret, ast, entry, args, least) == outcome
+    assert _exhausted(_run(treewalk.interpret, ast, entry, args, least - 1))
+    return least, outcome
+
+
+def _assert_same_at_every_fuel(ast, entry, args, most=2_000):
+    """The compiled interpreter's status, value and detail equal the tree
+    walker's at every fuel from 1 to the least sufficient fuel or `most`,
+    whichever is smaller, and at DEFAULT_FUEL."""
+    least, outcome = _outcomes_by_fuel(ast, entry, args)
+    program = interp._Program(ast)
+    with interp.stack_room(program.frames_per_call):
+        for fuel in [*range(1, min(least or most, most) + 1), DEFAULT_FUEL]:
+            result = interp._execute(program, entry, list(args), fuel)
+            expected = outcome if least is not None and fuel >= least else (ExecStatus.FUEL_EXHAUSTED, "None", None)
+            assert (result.status, repr(result.value), result.detail) == expected, fuel
+
+
+def _near(limit: int, sign: int):
+    """Integers up to 2**20 from `limit`, on the side `sign` points from it,
+    about as many of them under 2**10 as over."""
+    distances = st.integers(0, 20).flatmap(lambda bits: st.integers(0, 1 << bits))
+    return distances.map(lambda distance: limit - sign * distance)
+
+
+@st.composite
+def accumulating_loops(draw):
+    """A loop whose control never changes, or only cycles (`i` counts mod
+    `k`), while one to three accumulators `a`, `b` and `c`, the function's
+    arguments, change by `a = a + e`, `a = a - e` or `a = e`: alone, in
+    `if`s, and in a nested loop, where `e` may read `j`. `e` reads only
+    control slots and constants, and may be a `bool`. The guard may let
+    the loop exit."""
+    k = draw(st.integers(1, 3))
+    xs = [draw(st.integers(-9, 9)) for _ in range(3)]
+    lets = f"let i: int = {draw(st.integers(0, k - 1))}; let xs: int[] = {xs};"
+    values = ["1", "7", "i", "i * 3 - 1", "xs[i]", "0 - xs[(i + 1) % 3]", "(i > 0)"]
+
+    def update(name, nested):
+        e = draw(st.sampled_from(values + ["j", "j * i"] if nested else values))
+        if draw(st.integers(0, 3)):  # else `a + e` may parse as `(a + e1) - e2`, which reads `a`: then it is control
+            e = f"({e})"
+        return draw(st.sampled_from([f"{name} = {name} + {e};", f"{name} = {name} - {e};", f"{name} = {e};"]))
+
+    statements = [] if draw(st.booleans()) else [f"i = (i + 1) % {k};"]
+    for name in "abc"[: draw(st.integers(1, 3))]:
+        shape = draw(st.sampled_from(["plain", "if", "if-else", "nested"]))
+        if shape == "plain":
+            statements.append(update(name, False))
+        elif shape == "if":
+            statements.append(f"if (i == {draw(st.integers(0, 2))}) {{ {update(name, False)} }}")
+        elif shape == "if-else":
+            then, otherwise = update(name, False), update(name, False)
+            statements.append(f"if (i < {draw(st.integers(0, 2))}) {{ {then} }} else {{ {otherwise} }}")
+        else:
+            statements.append(
+                f"let j: int = 0; while (j < {draw(st.integers(0, 3))}) {{ {update(name, True)} j = j + 1; }}"
+            )
+    guard = draw(st.sampled_from(["true", "i < 3", f"i != {draw(st.integers(0, 3))}"]))
+    body = " ".join(draw(st.permutations(statements)))
+    return f"fn f(a: int, b: int, c: int) -> int {{ {lets} while ({guard}) {{ {body} }} return a + b + c; }}"
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    source=accumulating_loops(),
+    args=st.tuples(*[st.one_of(
+        st.integers(-9, 9), _near(interp.INT_MAX, 1), _near(interp.INT_MIN, -1),
+    )] * 3),
+)
+def test_accumulator_cut_matches_tree_walker_at_every_fuel(source, args):
+    _assert_same_at_every_fuel(parse(source), "f", args)
+
+
+ACCUMULATING = [
+    # grows by 3, 1, or by 1 with an excursion of 1000 inside each iteration; shrinks by 3
+    "fn f(a: int) -> int { let i: int = 0; while (i < 1) { a = a + 3; } return a; }",
+    "fn f(a: int) -> int { let i: int = 0; while (i < 1) { if (i == 0) { a = a + 1; } } return a; }",
+    "fn f(a: int) -> int { let i: int = 0; while (i < 1) { a = a + 1000; a = a - 999; } return a; }",
+    "fn f(a: int) -> int { let i: int = 0; while (i < 1) { a = a - 3; } return a; }",
+    # in the period of a cycling control, and in a nested loop
+    "fn f(a: int) -> int { let i: int = 0; while (i < 2) { i = (i + 1) % 2; a = a + i * 5; } return a; }",
+    "fn f(a: int) -> int { let i: int = 0; while (true) { let j: int = 0; while (j < 3) { a = a + j; j = j + 1; } }"
+    " return a; }",
+]
+
+
+def _start(source: str, distance: int) -> int:
+    """The start `distance` from the int64 bound that `source`'s
+    accumulator heads for."""
+    return interp.INT_MIN + distance if "a - 3" in source else interp.INT_MAX - distance
+
+
+@pytest.mark.parametrize("source", ACCUMULATING)
+def test_an_accumulator_cut_holds_at_the_overflow_boundary(source):
+    """Starts at every distance from int64's bound near the least one at
+    which the run no longer overflows inside the budget: the outcome is
+    the tree walker's at each, and a start a little further away is cut."""
+    ast, fuel = parse(source), 5_000
+
+    def overflows(distance):
+        return _run(treewalk.interpret, ast, "f", (_start(source, distance),), fuel)[0] is ExecStatus.RUNTIME_ERROR
+
+    low, high = 0, 1 << 20  # overflows at `low`, not at `high`
+    assert overflows(low) and not overflows(high)
+    while high - low > 1:
+        middle = (low + high) // 2
+        low, high = (middle, high) if overflows(middle) else (low, middle)
+    for distance in range(high - 8, high + 8):
+        args = (_start(source, distance),)
+        assert _run(interpret, ast, "f", args, fuel) == _run(treewalk.interpret, ast, "f", args, fuel), distance
+    # a few periods past the boundary the bound is shown, and the loop is cut
+    result, spent = _fuel_spent(ast, "f", (_start(source, high + 100),), fuel)
+    assert result.status is ExecStatus.FUEL_EXHAUSTED and spent < fuel // 2, spent
+
+
+def test_an_accumulator_that_overflows_inside_the_budget_stays_a_runtime_error():
+    ast = parse(ACCUMULATING[0])
+    args = (interp.INT_MAX - 3 * 1000,)  # overflows in its 1001st iteration, ~8000 fuel in
+    _assert_same(ast, "f", args, DEFAULT_FUEL)
+    result, spent = _fuel_spent(ast, "f", args, DEFAULT_FUEL)
+    assert result == interp.ExecResult(ExecStatus.RUNTIME_ERROR, detail="integer overflow")
+    assert 8_000 < spent < 9_000
+
+
+def test_an_accumulator_that_overflows_only_past_the_budget_is_cut():
+    ast = parse(ACCUMULATING[0])
+    args = (interp.INT_MAX - 3 * 13_000,)  # would overflow in its 13 001st iteration, past 100 000 fuel
+    _assert_same(ast, "f", args, DEFAULT_FUEL)
+    result, spent = _fuel_spent(ast, "f", args, DEFAULT_FUEL)
+    assert result.status is ExecStatus.FUEL_EXHAUSTED and spent < 100
+
+
+NEVER_CUT = [
+    # a call of a user function
+    "fn g(x: int) -> int { return x; }\n"
+    "fn f() -> int { let a: int = 0; let i: int = 0; while (i < 1) { a = a + g(1); } return a; }",
+    # an accumulator read by a branch
+    "fn f() -> int { let a: int = 0; while (true) { a = a + 1; if (a < 0) { return 1; } } return a; }",
+    # an array accumulator
+    "fn f() -> int { let ys: int[] = [0]; let i: int = 0; while (i < 1) { ys[0] = ys[0] + 1; } return 0; }",
+    # ill-typed: an accumulator that holds a bool at every check, written in the period or only before it
+    "fn f() -> int { let a: int = 0; let s: int = 0; while (true) { s = s + 1; s = true; a = a + 1; } return a; }",
+    "fn f() -> int { let a: int = 0; let s: int = 0; let c: int = 0;"
+    " while (true) { if (c == 0) { s = true; c = 1; } a = a + 1; } return a; }",
+    # an accumulator read by a `return` in the loop, or assigned from another accumulator
+    "fn f() -> int { let a: int = 0; let i: int = 0; while (i < 1) { a = a + 1; if (i > 0) { return a; } }"
+    " return 0; }",
+    "fn f() -> int { let a: int = 0; let b: int = 0; while (true) { a = a + 1; b = a; } return 0; }",
+    "fn f() -> int { let a: int = 0; let b: int = 0; while (true) { a = a + 1; b = b + a; } return 0; }",
+]
+
+
+@pytest.mark.parametrize("source", NEVER_CUT)
+def test_an_ineligible_loop_is_never_cut(source, deep_stack):
+    ast = parse(source)
+    _assert_same(ast, "f", (), 20_000)
+    result, spent = _fuel_spent(ast, "f", (), 20_000)
+    assert result.status is ExecStatus.FUEL_EXHAUSTED and spent == 20_000
+
+
+@pytest.mark.parametrize("source, entry, args", [
+    # an accumulator that a branch reads ends the loop inside the budget
+    ("fn f() -> int { let a: int = 0; while (true) { a = a + 1; if (a == 3000) { return a; } } return 0; }", "f", ()),
+    # the accumulator a guard reads
+    ("fn f(n: int) -> int { let a: int = 0; let i: int = 0; while (a < n) { a = a + i + 1; } return a; }", "f", (900,)),
+    # an accumulator a divisor, an index or an allocation size reads
+    ("fn f() -> int { let a: int = 0 - 2000; let i: int = 0; while (i < 1) { a = a + 1; let q: int = 5 / a; }"
+     " return a; }", "f", ()),
+    ("fn f(xs: int[]) -> int { let a: int = 0; let i: int = 0; while (i < 1) { a = a + 1; let v: int = xs[a]; }"
+     " return a; }", "f", ([0] * 400,)),
+    ("fn f() -> int { let a: int = 900; let i: int = 0; while (i < 1) { a = a - 1; let v: int[] = zeros(a); }"
+     " return a; }", "f", ()),
+    # the accumulator is another written slot's source, and that slot is control
+    ("fn f() -> int { let a: int = 0; let b: int = 0; while (b < 2000) { a = a + 1; b = a * 2; } return b; }", "f", ()),
+])
+def test_an_accumulator_that_control_reads_is_not_cut(source, entry, args, deep_stack):
+    _assert_same(parse(source), entry, args, DEFAULT_FUEL)
+    assert interpret(parse(source), entry, list(args)).status is not ExecStatus.FUEL_EXHAUSTED
+
+
+# (base program, base lines, mutant lines) of the critic set-up's mutants whose
+# loops run out of fuel: the accumulator cut's, and those it leaves to the budget
+CUT_MUTANTS = {
+    ("array_sum", "i = i + 1; }", "}"),
+    ("count_evens", "i = i + 1;", "i = i / 1;"),
+    ("count_evens", "i = i + 1; }", "}"),
+    ("count_primes", "i = i + 1; }", "}"),
+    ("digit_sum", "m = m / 10; }", "}"),
+    ("dot_product", "i = i + 1;", "i = i % 1;"),
+    ("dot_product", "i = i + 1; }", "}"),
+}
+UNCUT_MUTANTS = {
+    ("factorial", "i = i + 1;", "i = i + -1;"),  # control never repeats
+    ("max_subarray", "i = i + 1;", "i = i / 1;"),  # a branch reads the growing slot
+    ("max_subarray", "i = i + 1; }", "}"),
+}
+
+
+def test_the_cut_reaches_the_critic_mutants_it_should(corpus_entries, vocab):
+    """Every case of the mechanical mutants of a `critic` benchmark set-up
+    (mutant seed 7, its representation and cap): the cut ends each
+    fuel-exhausted case within 10 000 of a 100 000 budget, but for the
+    three mutants with cases that still spend all of it."""
+    correct = sorted((entry for entry in corpus_entries if entry.status == "correct"), key=lambda e: e.name)
+    representation = RepresentationConfig(context_lines=3, max_input_len=160, max_target_len=48)
+    _, bugs, _ = generate_mechanical_dataset(correct, DEFAULT_RULES, representation, vocab, per_location_cap=4, seed=7)
+    suites = {entry.name: entry.suite for entry in correct}
+    spent_by_mutant: dict[tuple, list[int]] = {}
+    for bug in bugs:
+        ast, diagnostics = analyze(bug.mutant)
+        if ast is None or diagnostics:
+            continue
+        key = (bug.base_name, *(" ".join(line.strip() for line in lines)
+                                for lines in (bug.base_region_lines, bug.mutant_region_lines)))
+        for case in suites[bug.base_name].cases:
+            result, spent = _fuel_spent(ast, case.entry, case.args, DEFAULT_FUEL)
+            if result.status is ExecStatus.FUEL_EXHAUSTED:
+                spent_by_mutant.setdefault(key, []).append(spent)
+    long_runs = {key for key, spent in spent_by_mutant.items() if max(spent) >= 10_000}
+    assert long_runs == UNCUT_MUTANTS
+    assert all(fuel < 10_000 or fuel == DEFAULT_FUEL for spent in spent_by_mutant.values() for fuel in spent)
+    assert CUT_MUTANTS <= spent_by_mutant.keys()
