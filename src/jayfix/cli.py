@@ -27,8 +27,8 @@ from .corpus import (
     load_suite,
     split_holdout,
 )
-from .critics import CriticKind, FAMILIES, POLARITY_BUGGY
-from .evaluate import RepairTask, assess, evaluate, repair, tasks_from_corpus
+from .critics import FAMILIES, FAMILY_COMPILER, FAMILY_NONE, FAMILY_TESTS, POLARITY_BUGGY, CriticKind, Rung, rung
+from .evaluate import RepairTask, evaluate, repair, tasks_from_corpus
 from .mechanical import DEFAULT_RULES, generate_mechanical_dataset
 from .minilang import (
     MiniLangError,
@@ -260,6 +260,10 @@ def _parse_span(text: str) -> Span:
         raise DataError(f"bad span {text!r}; expected START:END") from err
 
 
+# the printed name of each rung; the failing rungs print "compiles"
+_REPAIR_VERDICTS = {Rung.COMPILE_ERROR: "broken", Rung.PASSES: "plausible", Rung.CORRECT: "correct"}
+
+
 def cmd_repair(args) -> int:
     cfg = _load_config(args)
     paths = _work_paths(cfg)
@@ -287,11 +291,9 @@ def cmd_repair(args) -> int:
         raise DataError(str(candidates)) from candidates
     out_dir = Path(args.out) if args.out else Path("patches")
     out_dir.mkdir(parents=True, exist_ok=True)
-    for candidate, assessment in zip(candidates, assess(candidates, task, fuel=cfg.fuel)):
-        verdict = (
-            "correct" if assessment.correct else "plausible" if assessment.plausible
-            else "compiles" if assessment.compiles else "broken"
-        )
+    for candidate in candidates:
+        reached = rung(candidate.program, suite, cfg.fuel, reference_ast)
+        verdict = _REPAIR_VERDICTS.get(reached, "compiles")
         print(f"#{candidate.rank:>3} logp={candidate.log_prob:8.3f} [{verdict}] {candidate.region_text!r}")
         (out_dir / f"patch_{candidate.rank:03d}.jay").write_text(
             candidate.program.text, encoding="utf-8"
@@ -353,9 +355,11 @@ def cmd_gen_bugs(args) -> int:
     generations = generate_candidates(
         breaker, prompts, loop_cfg.k_buggy, critic, loop_cfg.fuel, rep_cfg, vocab, cfg.jobs
     )
+    # what the critic checked of every bug it kept
+    evidence = {FAMILY_NONE: "not_checked", FAMILY_COMPILER: "compile_ok", FAMILY_TESTS: "tests_report"}[critic.family]
     emitted = []
     for entry, generation in zip(correct, generations):
-        for candidate, verdict in generation.kept:
+        for candidate, _verdict in generation.kept:
             stem = f"{len(emitted):05d}_{entry.name}"
             text = candidate.program.text
             region = candidate.splice.mutant_region
@@ -365,7 +369,7 @@ def cmd_gen_bugs(args) -> int:
                 "anchor_span": [candidate.anchor.start_line, candidate.anchor.end_line],
                 "region": [region.start_line, region.end_line],
                 "critic_family": critic.family,
-                "evidence": verdict.evidence,
+                "evidence": evidence,
                 "diff": _unified_diff(entry.name, entry.program.text, text),
             }
             write_json(out_dir / f"{stem}.meta.json", meta)

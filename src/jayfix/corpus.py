@@ -77,16 +77,21 @@ class RejectedEntry:
 
 
 def load_suite(path: Path) -> TestSuite:
-    raw = json.loads(read_text(path))
-    if not isinstance(raw, list) or not raw:
-        raise CorpusError(f"{path.name}: suite must be a nonempty array")
-    cases = []
-    for item in raw:
-        args = tuple(list(a) if isinstance(a, list) else a for a in item["args"])
-        expect = item["expect"]
-        expect = list(expect) if isinstance(expect, list) else expect
-        cases.append(TestCase(str(item["id"]), str(item["entry"]), args, expect))
-    return TestSuite(tuple(cases))
+    """The suite in `path`; anything but a nonempty array of well-formed
+    cases with distinct ids is a CorpusError that names the file."""
+    try:
+        raw = json.loads(read_text(path))
+        if not isinstance(raw, list) or not raw:
+            raise CorpusError(f"{path.name}: suite must be a nonempty array")
+        cases = []
+        for item in raw:
+            args = tuple(list(a) if isinstance(a, list) else a for a in item["args"])
+            expect = item["expect"]
+            expect = list(expect) if isinstance(expect, list) else expect
+            cases.append(TestCase(str(item["id"]), str(item["entry"]), args, expect))
+        return TestSuite(tuple(cases))
+    except (KeyError, TypeError, ValueError) as err:  # JSONDecodeError is a ValueError
+        raise CorpusError(f"{path.name}: malformed suite: {type(err).__name__}: {err}") from err
 
 
 def load_corpus(
@@ -152,7 +157,7 @@ def load_corpus(
                 if not run_tests(ref_ast, suite, fuel=fuel).all_pass:
                     raise CorpusError("reference fix fails tests")
             entries.append(CorpusEntry(program, suite, status, ast, reference, ref_ast))
-        except (CorpusError, DataError, json.JSONDecodeError, KeyError, ValueError) as err:
+        except (CorpusError, DataError, KeyError, ValueError) as err:
             rejected.append(RejectedEntry(name, str(err)))
     return entries, rejected
 

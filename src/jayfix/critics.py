@@ -1,6 +1,11 @@
-"""Predicate critics that accept or reject generated programs.
+"""The one verdict ladder, and the predicate critics that read it.
 
-Three families in two polarities:
+`rung` climbs a program up compile -> tests -> reference and returns
+the rung it stops on: `compile_error`; `compiles` when there is no
+suite; the first failing case's `wrong_value`, `runtime_error` or
+`fuel_exhausted`; `passes`; or `correct` when a reference is given and
+the normalized ASTs are equal. The critics and `evaluate.assess` both
+read it. Three critic families in two polarities:
 
   none     - accepts everything, no checking.
   compiler - accepts programs that parse and typecheck (both polarities;
@@ -9,25 +14,17 @@ Three families in two polarities:
              pass the whole suite; buggy-code polarity accepts programs
              that compile but fail at least one case.
 
-Verdicts carry their evidence, and the families form a restrictiveness
-chain: on any candidate batch, kept(tests) is a subset of
-kept(compiler) is a subset of kept(none).
+The families form a restrictiveness chain: on any candidate batch,
+kept(tests) is a subset of kept(compiler) is a subset of kept(none).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from typing import Optional, Sequence, TypeVar
 
-from .minilang import (
-    DEFAULT_FUEL,
-    Diagnostic,
-    SourceProgram,
-    TestReport,
-    TestSuite,
-    analyze,
-    run_tests,
-)
+from .minilang import DEFAULT_FUEL, Ast, SourceProgram, TestSuite, analyze, ast_equal_normalized, run_tests
 from .util import parallel_map
 
 FAMILY_NONE = "none"
@@ -39,12 +36,42 @@ POLARITY_CORRECT = "correct"
 POLARITY_BUGGY = "buggy"
 POLARITIES = (POLARITY_CORRECT, POLARITY_BUGGY)
 
-EVIDENCE_NOT_CHECKED = "not_checked"
-EVIDENCE_COMPILE_OK = "compile_ok"
-EVIDENCE_COMPILE_FAIL = "compile_fail"
-EVIDENCE_TESTS = "tests_report"
-
 T = TypeVar("T")
+
+
+class Rung(Enum):
+    COMPILE_ERROR = "compile_error"
+    COMPILES = "compiles"  # no suite to run
+    WRONG_VALUE = "wrong_value"
+    RUNTIME_ERROR = "runtime_error"
+    FUEL_EXHAUSTED = "fuel_exhausted"
+    PASSES = "passes"
+    CORRECT = "correct"  # passes, and normalized-AST-equal to the reference
+
+
+FAILING = frozenset({Rung.WRONG_VALUE, Rung.RUNTIME_ERROR, Rung.FUEL_EXHAUSTED})
+PASSING = frozenset({Rung.PASSES, Rung.CORRECT})
+
+
+def rung(
+    program: SourceProgram,
+    suite: Optional[TestSuite] = None,
+    fuel: int = DEFAULT_FUEL,
+    reference_ast: Optional[Ast] = None,
+) -> Rung:
+    """The rung `program` reaches: one `analyze`, at most one `run_tests`,
+    and an AST comparison only for a passing program with a reference."""
+    ast, diagnostics = analyze(program)
+    if ast is None or diagnostics:
+        return Rung.COMPILE_ERROR
+    if suite is None:
+        return Rung.COMPILES
+    report = run_tests(ast, suite, fuel=fuel)
+    if report.any_failure:
+        return Rung(report.outcomes[-1][1].value)  # the run stops at the first failing case
+    if reference_ast is not None and ast_equal_normalized(ast, reference_ast):
+        return Rung.CORRECT
+    return Rung.PASSES
 
 
 @dataclass(frozen=True)
@@ -62,9 +89,7 @@ class CriticKind:
 @dataclass(frozen=True)
 class CriticVerdict:
     accept: bool
-    evidence: str
-    diagnostic: Optional[Diagnostic] = None
-    report: Optional[TestReport] = None
+    rung: Optional[Rung]  # None when the `none` critic judged without checking
 
 
 def judge(
@@ -76,20 +101,15 @@ def judge(
     """Pure verdict for one candidate, judged against the suite of its
     base program."""
     if kind.family == FAMILY_NONE:
-        return CriticVerdict(accept=True, evidence=EVIDENCE_NOT_CHECKED)
-    ast, diagnostics = analyze(candidate)
-    if ast is None or diagnostics:
-        return CriticVerdict(
-            accept=False, evidence=EVIDENCE_COMPILE_FAIL, diagnostic=diagnostics[0]
-        )
+        return CriticVerdict(accept=True, rung=None)
+    reached = rung(candidate, suite if kind.family == FAMILY_TESTS else None, fuel)
     if kind.family == FAMILY_COMPILER:
-        return CriticVerdict(accept=True, evidence=EVIDENCE_COMPILE_OK)
-    report = run_tests(ast, suite, fuel=fuel)
-    if kind.polarity == POLARITY_CORRECT:
-        accept = report.all_pass
+        accept = reached is not Rung.COMPILE_ERROR
+    elif kind.polarity == POLARITY_CORRECT:
+        accept = reached in PASSING
     else:
-        accept = report.any_failure
-    return CriticVerdict(accept=accept, evidence=EVIDENCE_TESTS, report=report)
+        accept = reached in FAILING
+    return CriticVerdict(accept=accept, rung=reached)
 
 
 @dataclass(frozen=True)
@@ -108,24 +128,11 @@ def filter_candidates(
     jobs: int = 1,
 ) -> tuple[list[tuple[SourceProgram, T, CriticVerdict]], FilterCounts]:
     """Order-preserving filter; returns kept candidates with their
-    verdicts plus counts by rejection evidence."""
-    verdicts = parallel_map(
-        lambda pair: judge(kind, pair[0], suite, fuel), list(candidates), jobs=jobs
-    )
-    kept: list[tuple[SourceProgram, T, CriticVerdict]] = []
-    rejected_compile = 0
-    rejected_tests = 0
-    for (program, meta), verdict in zip(candidates, verdicts):
-        if verdict.accept:
-            kept.append((program, meta, verdict))
-        elif verdict.evidence == EVIDENCE_COMPILE_FAIL:
-            rejected_compile += 1
-        else:
-            rejected_tests += 1
-    counts = FilterCounts(
-        generated=len(candidates),
-        kept=len(kept),
-        rejected_compile=rejected_compile,
-        rejected_tests=rejected_tests,
-    )
-    return kept, counts
+    verdicts plus counts by rejection rung: `compile_error`, or any other
+    (a failing case under the correct-code critic, passing under the
+    buggy-code one)."""
+    verdicts = parallel_map(lambda pair: judge(kind, pair[0], suite, fuel), list(candidates), jobs=jobs)
+    kept = [(program, meta, verdict) for (program, meta), verdict in zip(candidates, verdicts) if verdict.accept]
+    rejected_compile = sum(verdict.rung is Rung.COMPILE_ERROR for verdict in verdicts)
+    generated = len(candidates)
+    return kept, FilterCounts(generated, len(kept), rejected_compile, generated - len(kept) - rejected_compile)

@@ -7,11 +7,15 @@ The buggy corpus, the bugs the back-translation loop accepts, and a
 
 Tasks come with perfect fault localization: the true buggy span is
 given to the fixer, which beam-decodes K replacement regions; each is
-spliced into the program and assessed on three nested levels:
+spliced into the program and assessed on three nested levels, read off
+the rung it reaches on the one verdict ladder (`critics.rung`, which the
+critics read too):
 
-  compiles  - parses and typechecks,
-  plausible - compiles and passes the whole human-written suite,
-  correct   - plausible and normalized-AST-equal to the reference fix.
+  compiles  - parses and typechecks (any rung but `compile_error`),
+  plausible - compiles and passes the whole human-written suite
+              (`passes` or `correct`),
+  correct   - plausible and normalized-AST-equal to the reference fix
+              (`correct`).
 
 A task without a suite has no plausible patch, and one without a
 reference no correct patch. Normalized AST equality is a stricter
@@ -29,15 +33,13 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .corpus import CorpusEntry, buggy_entries
+from .critics import PASSING, Rung, rung
 from .minilang import (
     Ast,
     DEFAULT_FUEL,
     SourceProgram,
     Span,
-    analyze,
-    ast_equal_normalized,
     derive_fault_region,
-    run_tests,
     splice_region,
     TestSuite,
 )
@@ -163,20 +165,8 @@ def assess(
 ) -> list[PatchAssessment]:
     """Nested compiles/plausible/correct verdicts per candidate; never
     plausible without a suite, never correct without a reference."""
-    out = []
-    for candidate in candidates:
-        ast, diagnostics = analyze(candidate.program)
-        compiles = ast is not None and not diagnostics
-        plausible = False
-        correct = False
-        if compiles and task.suite is not None:
-            plausible = run_tests(ast, task.suite, fuel=fuel).all_pass
-            if plausible and task.reference_ast is not None:
-                correct = ast_equal_normalized(ast, task.reference_ast)
-        out.append(
-            PatchAssessment(rank=candidate.rank, compiles=compiles, plausible=plausible, correct=correct)
-        )
-    return out
+    reached = [(c.rank, rung(c.program, task.suite, fuel, task.reference_ast)) for c in candidates]
+    return [PatchAssessment(rank, r is not Rung.COMPILE_ERROR, r in PASSING, r is Rung.CORRECT) for rank, r in reached]
 
 
 @dataclass

@@ -3,7 +3,8 @@ per-source beam search and a brute-force top-K as oracles, the tape ops
 `mul` and `softmax` and the unfused attention chain built from them as
 the oracle of `tape.attention`, the padded teacher-forced model as the
 oracle of the packed one, a compile check, a region's text, a
-corruption-rule lookup, and repair tasks built from mechanical bugs."""
+corruption-rule lookup, repair tasks built from mechanical bugs, and
+malformed test suites."""
 
 from __future__ import annotations
 
@@ -264,3 +265,14 @@ def tasks_from_mechanical_bugs(
             )
         )
     return tasks
+
+
+# `.tests.json` contents that are not a suite, each a CorpusError from `load_suite`
+MALFORMED_SUITES = {
+    "not JSON": "{not json",
+    "a case without args": '[{"id": "t", "entry": "f"}]',
+    "a case that is not an object": "[1]",
+    "args that are not an array": '[{"id": "t", "entry": "f", "args": 5, "expect": 1}]',
+    "duplicate case ids": '[{"id": "t", "entry": "f", "args": [], "expect": 1}, '
+    '{"id": "t", "entry": "f", "args": [], "expect": 1}]',
+}

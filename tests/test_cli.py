@@ -5,6 +5,7 @@ import shutil
 from pathlib import Path
 
 import pytest
+from helpers import MALFORMED_SUITES
 
 from jayfix import backtranslate, cli
 from jayfix import evaluate as evaluate_module
@@ -512,4 +513,19 @@ def test_a_directory_for_a_config_is_data_error(workspace, tmp_path, capsys, com
     assert main([*argv, "--config", str(tmp_path), "--out", str(out)]) == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1 and "directory" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", MALFORMED_SUITES.values(), ids=MALFORMED_SUITES.keys())
+def test_a_malformed_suite_beside_the_repaired_program_is_data_error(workspace, tmp_path, capsys, content):
+    _, config_path = workspace
+    corpus = Path(json.loads(Path(config_path).read_text())["corpus_dir"])
+    shutil.copy(corpus / "gcd_buggy.jay", tmp_path / "prog.jay")
+    (tmp_path / "prog.tests.json").write_text(content)
+    out = tmp_path / "patches"
+    argv = ["repair", str(tmp_path / "prog.jay"), "--span", "4:4", "--config", str(config_path), "--out", str(out)]
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: prog.tests.json: malformed suite: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()

@@ -4,6 +4,7 @@ import json
 import shutil
 
 import pytest
+from helpers import MALFORMED_SUITES
 from hypothesis import given, settings, strategies as st
 
 from jayfix.corpus import (
@@ -69,6 +70,16 @@ def test_malformed_suite_json_is_rejected(tmp_path, corpus_dir):
     (tmp_path / "corpus" / "abs_value.tests.json").write_text("{not json")
     entries, rejected = load_corpus(tmp_path / "corpus")
     assert any(r.name == "abs_value" for r in rejected)
+
+
+@pytest.mark.parametrize("content", MALFORMED_SUITES.values(), ids=MALFORMED_SUITES.keys())
+def test_a_malformed_suite_is_a_rejection_record_not_a_crash(tmp_path, corpus_dir, content):
+    shutil.copytree(corpus_dir, tmp_path / "corpus")
+    (tmp_path / "corpus" / "abs_value.tests.json").write_text(content)
+    entries, rejected = load_corpus(tmp_path / "corpus")
+    assert len(entries) == 29
+    [record] = rejected
+    assert record.name == "abs_value" and record.reason.startswith("abs_value.tests.json: malformed suite: ")
 
 
 def test_empty_manifest_gives_empty_corpus(tmp_path):

@@ -3,21 +3,30 @@ from __future__ import annotations
 import pytest
 
 from jayfix.critics import (
+    FAILING,
     CriticKind,
-    EVIDENCE_COMPILE_FAIL,
-    EVIDENCE_COMPILE_OK,
-    EVIDENCE_NOT_CHECKED,
-    EVIDENCE_TESTS,
     FAMILY_COMPILER,
     FAMILY_NONE,
     FAMILY_TESTS,
     POLARITY_BUGGY,
     POLARITY_CORRECT,
+    Rung,
     filter_candidates,
     judge,
+    rung,
 )
-from jayfix.mechanical import DEFAULT_RULES, apply_rule
-from jayfix.minilang import SourceProgram, Span, enumerate_statement_locations, splice
+from jayfix.evaluate import CandidatePatch, RepairTask, assess
+from jayfix.mechanical import DEFAULT_RULES, apply_rule, generate_mechanical_dataset
+from jayfix.minilang import (
+    SourceProgram,
+    Span,
+    TestCase,
+    TestSuite,
+    enumerate_statement_locations,
+    parse,
+    splice,
+)
+from jayfix.representation import RepresentationConfig
 
 
 @pytest.fixture()
@@ -35,42 +44,39 @@ def broken_gcd(gcd) -> SourceProgram:
 
 def test_none_accepts_everything(gcd):
     verdict = judge(CriticKind(FAMILY_NONE, POLARITY_BUGGY), broken_gcd(gcd), gcd.suite)
-    assert verdict.accept and verdict.evidence == EVIDENCE_NOT_CHECKED
+    assert verdict.accept and verdict.rung is None  # judged without climbing the ladder
 
 
 def test_compiler_rejects_syntax_errors(gcd):
     verdict = judge(CriticKind(FAMILY_COMPILER, POLARITY_BUGGY), broken_gcd(gcd), gcd.suite)
     assert not verdict.accept
-    assert verdict.evidence == EVIDENCE_COMPILE_FAIL
-    assert verdict.diagnostic is not None
+    assert verdict.rung is Rung.COMPILE_ERROR
 
 
 def test_a_non_ascii_digit_is_a_compile_failure():
     program = SourceProgram("digit", "fn f() -> int { return ²; }")
     for family in (FAMILY_COMPILER, FAMILY_TESTS):
         verdict = judge(CriticKind(family, POLARITY_CORRECT), program, ())
-        assert not verdict.accept and verdict.evidence == EVIDENCE_COMPILE_FAIL
-        assert verdict.diagnostic.kind == "LexError"
+        assert not verdict.accept and verdict.rung is Rung.COMPILE_ERROR
 
 
 def test_compiler_accepts_any_compiling_program_in_both_polarities(gcd):
     bad = corrupted_gcd(gcd)
     for polarity in (POLARITY_CORRECT, POLARITY_BUGGY):
         verdict = judge(CriticKind(FAMILY_COMPILER, polarity), bad, gcd.suite)
-        assert verdict.accept and verdict.evidence == EVIDENCE_COMPILE_OK
+        assert verdict.accept and verdict.rung is Rung.COMPILES
 
 
 def test_tests_correct_accepts_seed_program(gcd):
     verdict = judge(CriticKind(FAMILY_TESTS, POLARITY_CORRECT), gcd.program, gcd.suite)
-    assert verdict.accept and verdict.evidence == EVIDENCE_TESTS
-    assert verdict.report is not None and verdict.report.all_pass
+    assert verdict.accept and verdict.rung is Rung.PASSES
 
 
 def test_tests_buggy_accepts_iff_some_case_fails(gcd):
     bad = corrupted_gcd(gcd)
     verdict = judge(CriticKind(FAMILY_TESTS, POLARITY_BUGGY), bad, gcd.suite)
-    assert verdict.report is not None
-    assert verdict.accept == verdict.report.any_failure
+    assert verdict.rung in FAILING or verdict.rung is Rung.PASSES  # the suite ran
+    assert verdict.accept == (verdict.rung in FAILING)
     assert verdict.accept  # the oracle says this corruption really breaks gcd
 
 
@@ -157,3 +163,63 @@ def test_unknown_kind_rejected():
         CriticKind("fancy", POLARITY_BUGGY)
     with pytest.raises(ValueError):
         CriticKind(FAMILY_NONE, "sideways")
+
+
+# --- the verdict ladder ------------------------------------------------------
+
+_ONE = "fn f(n: int) -> int {\n    return 1;\n}\n"
+
+
+def _suite(*expects):
+    return TestSuite(tuple(TestCase(f"t{i}", "f", (i,), e) for i, e in enumerate(expects)))
+
+
+@pytest.mark.parametrize(
+    "text, suite, reference, expected",
+    [
+        ("fn f(n: int) -> int { return ; }", _suite(1), None, Rung.COMPILE_ERROR),
+        ("fn f(n: int) -> int { return true; }", _suite(1), None, Rung.COMPILE_ERROR),  # a type error
+        (_ONE, None, None, Rung.COMPILES),
+        (_ONE, None, _ONE, Rung.COMPILES),  # no suite, so never correct
+        (_ONE, _suite(2), None, Rung.WRONG_VALUE),
+        ("fn f(n: int) -> int { return 1 / n; }", _suite(1), None, Rung.RUNTIME_ERROR),
+        ("fn f(n: int) -> int {\n    while (n >= 0) { }\n    return 1;\n}\n", _suite(1), None, Rung.FUEL_EXHAUSTED),
+        (_ONE, _suite(1, 1), None, Rung.PASSES),
+        (_ONE, _suite(1, 1), "fn f(n: int) -> int { return 2; }", Rung.PASSES),
+        (_ONE, _suite(1, 1), "fn f(n: int) -> int { return 1; }", Rung.CORRECT),
+        (_ONE, _suite(1, 2), _ONE, Rung.WRONG_VALUE),  # a failing program is never correct
+        # the first failing case decides: t1 divides by zero before t2 is wrong
+        ("fn f(n: int) -> int { return 2 / (n - 1); }", _suite(-2, 1, 5), None, Rung.RUNTIME_ERROR),
+    ],
+)
+def test_rung_of_a_fixed_program(text, suite, reference, expected):
+    reference_ast = parse(reference) if reference is not None else None
+    assert rung(SourceProgram("p", text), suite, fuel=1_000, reference_ast=reference_ast) is expected
+
+
+@pytest.fixture(scope="module")
+def every_mutant(correct, vocab):
+    """Every mechanical mutant of every correct program (no per-location
+    cap, no length budget), with the suite of its base program."""
+    unbounded = RepresentationConfig(max_input_len=1 << 20, max_target_len=1 << 20)
+    _, bugs, _ = generate_mechanical_dataset(correct, DEFAULT_RULES, unbounded, vocab, per_location_cap=0)
+    assert len(bugs) > 500
+    return bugs
+
+
+def test_critics_agree_with_assessment_on_every_mutant(correct, every_mutant):
+    by_name = {entry.name: entry for entry in correct}
+    for bug in every_mutant:
+        entry = by_name[bug.base_name]
+        task = RepairTask(entry.name, bug.mutant, bug.anchor_span, suite=entry.suite, reference_ast=entry.ast)
+        [assessment] = assess([CandidatePatch(1, 0.0, "", bug.mutant)], task)
+        verdicts = {
+            (family, polarity): judge(CriticKind(family, polarity), bug.mutant, entry.suite).accept
+            for family in (FAMILY_COMPILER, FAMILY_TESTS)
+            for polarity in (POLARITY_CORRECT, POLARITY_BUGGY)
+        }
+        context = bug.mutant.name
+        assert verdicts[FAMILY_COMPILER, POLARITY_CORRECT] == assessment.compiles, context
+        assert verdicts[FAMILY_COMPILER, POLARITY_BUGGY] == assessment.compiles, context
+        assert verdicts[FAMILY_TESTS, POLARITY_CORRECT] == assessment.plausible, context
+        assert verdicts[FAMILY_TESTS, POLARITY_BUGGY] == (assessment.compiles and not assessment.plausible), context
