@@ -84,7 +84,6 @@ class LoopConfig:
     include_mechanical: bool = True
     max_locations_per_program: Optional[int] = None
     order: str = ORDER_FIXER_FIRST
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.iterations < 1 or self.k_correct < 1 or self.k_buggy < 1:
@@ -162,7 +161,6 @@ def generate_candidates(
     fuel: int,
     rep_cfg: RepresentationConfig,
     vocab: Vocabulary,
-    jobs: int = 1,
 ) -> list[Generation]:
     """Propose k replacements per span of every prompt, all in one beam
     search, splice each into its program and judge each prompt's batch
@@ -188,7 +186,7 @@ def generate_candidates(
                 if fixing and result.mutant_text == program.text:
                     continue
                 candidates.append(Candidate(SourceProgram(name, result.mutant_text), span, result))
-        kept, counts = filter_candidates(critic, [(c.program, c) for c in candidates], suite, fuel, jobs=jobs)
+        kept, counts = filter_candidates(critic, [(c.program, c) for c in candidates], suite, fuel)
         generations.append(Generation(candidates, [(c, verdict) for _, c, verdict in kept], counts, skipped))
     return generations
 
@@ -275,9 +273,8 @@ def _half(
     fixing = polarity == POLARITY_CORRECT
     critic = CriticKind(cfg.critic_family, polarity)
     phase, direction = ("fix_candidates", DIRECTION_BREAK) if fixing else ("bug_candidates", DIRECTION_FIX)
-    generations = generate_candidates(
-        model, prompts, cfg.k_correct if fixing else cfg.k_buggy, critic, cfg.fuel, rep_cfg, vocab, cfg.jobs
-    )
+    k = cfg.k_correct if fixing else cfg.k_buggy
+    generations = generate_candidates(model, prompts, k, critic, cfg.fuel, rep_cfg, vocab)
     batch: list[TrainingSample] = []
     for (name, _program, spans, _suite), generation in zip(prompts, generations):
         if generation.skipped == len(spans):  # nothing was proposed: no batch to log

@@ -70,7 +70,6 @@ def _load_config(args) -> RunConfig:
         critic=getattr(args, "critic", None),
         iterations=getattr(args, "iterations", None),
         beam=getattr(args, "beam", None),
-        jobs=args.jobs,
     )
     if getattr(args, "k_buggy_beam", None) is not None:
         cfg.loop["k_buggy"] = args.k_buggy_beam
@@ -352,9 +351,7 @@ def cmd_gen_bugs(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     prompts = [(e.name, e.program, enumerate_statement_locations(e.ast), e.suite) for e in correct]
     locations_total = sum(len(spans) for _, _, spans, _ in prompts)
-    generations = generate_candidates(
-        breaker, prompts, loop_cfg.k_buggy, critic, loop_cfg.fuel, rep_cfg, vocab, cfg.jobs
-    )
+    generations = generate_candidates(breaker, prompts, loop_cfg.k_buggy, critic, loop_cfg.fuel, rep_cfg, vocab)
     # what the critic checked of every bug it kept
     evidence = {FAMILY_NONE: "not_checked", FAMILY_COMPILER: "compile_ok", FAMILY_TESTS: "tests_report"}[critic.family]
     emitted = []
@@ -406,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="global seed override")
-        p.add_argument("--jobs", type=int, help="worker threads for candidate filtering")
         p.add_argument("--out", help="output directory override")
 
     p = sub.add_parser("gen-mechanical", help="corrupt correct seeds into initialization data")

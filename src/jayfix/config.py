@@ -17,12 +17,6 @@ from .representation import RepresentationConfig
 from .util import DataError
 
 
-def _default_jobs() -> int:
-    import os
-
-    return max(1, os.cpu_count() or 1)
-
-
 # the dataclass each section's overrides are passed to
 _SECTIONS = {
     "model": ModelConfig,
@@ -43,7 +37,6 @@ class RunConfig:
     seed: int = 0
     corpus_dir: str = "corpus"
     work_dir: str = "work"
-    jobs: int = field(default_factory=_default_jobs)
     eval_k: int = 100
     fuel: int = DEFAULT_FUEL
     per_location_cap: int = 4
@@ -52,6 +45,7 @@ class RunConfig:
     train: dict = field(default_factory=dict)  # TrainConfig overrides
     loop: dict = field(default_factory=dict)  # LoopConfig overrides
     representation: dict = field(default_factory=dict)
+    jobs = 1  # not a setting: perfbench's environment record reads it; goes with ROADMAP item 1's benchmark change
 
     @staticmethod
     def from_file(path: str | Path) -> "RunConfig":
@@ -85,7 +79,6 @@ class RunConfig:
         critic: Optional[str] = None,
         iterations: Optional[int] = None,
         beam: Optional[int] = None,
-        jobs: Optional[int] = None,
     ) -> None:
         if seed is not None:
             self.seed = seed
@@ -95,8 +88,6 @@ class RunConfig:
             self.loop["iterations"] = iterations
         if beam is not None:
             self.eval_k = beam
-        if jobs is not None:
-            self.jobs = jobs
 
     # --- resolved sub-configurations ---
 
@@ -136,7 +127,6 @@ class RunConfig:
         overrides = dict(self.loop)
         overrides.setdefault("seed", self.seed)
         overrides.setdefault("fuel", self.fuel)
-        overrides.setdefault("jobs", self.jobs)
         return LoopConfig(**overrides)
 
     def resolved_json(self, vocab_size: Optional[int] = None) -> dict[str, Any]:

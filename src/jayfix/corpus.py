@@ -33,6 +33,7 @@ from .minilang import (
     run_tests,
     DEFAULT_FUEL,
 )
+from .minilang.interp import INT_MAX, INT_MIN
 from .representation import (
     RegionTooLong,
     RepresentationConfig,
@@ -76,19 +77,34 @@ class RejectedEntry:
     reason: str
 
 
+def _is_int64(value) -> bool:
+    return type(value) is int and INT_MIN <= value <= INT_MAX
+
+
+def _jay_value(value):
+    """`value` if it is a Jay value: a bool, an int64, or an array of
+    int64s (returned as a fresh list); otherwise a ValueError."""
+    if isinstance(value, bool) or _is_int64(value):
+        return value
+    if isinstance(value, list) and all(map(_is_int64, value)):
+        return list(value)
+    raise ValueError(f"{value!r} is not a Jay value")
+
+
 def load_suite(path: Path) -> TestSuite:
     """The suite in `path`; anything but a nonempty array of well-formed
-    cases with distinct ids is a CorpusError that names the file."""
+    cases with distinct ids, whose args and expected values are Jay
+    values, is a CorpusError that names the file."""
     try:
         raw = json.loads(read_text(path))
         if not isinstance(raw, list) or not raw:
             raise CorpusError(f"{path.name}: suite must be a nonempty array")
         cases = []
         for item in raw:
-            args = tuple(list(a) if isinstance(a, list) else a for a in item["args"])
-            expect = item["expect"]
-            expect = list(expect) if isinstance(expect, list) else expect
-            cases.append(TestCase(str(item["id"]), str(item["entry"]), args, expect))
+            if not isinstance(item["args"], list):
+                raise ValueError(f"args {item['args']!r} is not an array")
+            args = tuple(map(_jay_value, item["args"]))
+            cases.append(TestCase(str(item["id"]), str(item["entry"]), args, _jay_value(item["expect"])))
         return TestSuite(tuple(cases))
     except (KeyError, TypeError, ValueError) as err:  # JSONDecodeError is a ValueError
         raise CorpusError(f"{path.name}: malformed suite: {type(err).__name__}: {err}") from err

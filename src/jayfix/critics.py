@@ -25,7 +25,6 @@ from enum import Enum
 from typing import Optional, Sequence, TypeVar
 
 from .minilang import DEFAULT_FUEL, Ast, SourceProgram, TestSuite, analyze, ast_equal_normalized, run_tests
-from .util import parallel_map
 
 FAMILY_NONE = "none"
 FAMILY_COMPILER = "compiler"
@@ -125,13 +124,12 @@ def filter_candidates(
     candidates: Sequence[tuple[SourceProgram, T]],
     suite: TestSuite,
     fuel: int = DEFAULT_FUEL,
-    jobs: int = 1,
 ) -> tuple[list[tuple[SourceProgram, T, CriticVerdict]], FilterCounts]:
     """Order-preserving filter; returns kept candidates with their
     verdicts plus counts by rejection rung: `compile_error`, or any other
     (a failing case under the correct-code critic, passing under the
     buggy-code one)."""
-    verdicts = parallel_map(lambda pair: judge(kind, pair[0], suite, fuel), list(candidates), jobs=jobs)
+    verdicts = [judge(kind, program, suite, fuel) for program, _meta in candidates]
     kept = [(program, meta, verdict) for (program, meta), verdict in zip(candidates, verdicts) if verdict.accept]
     rejected_compile = sum(verdict.rung is Rung.COMPILE_ERROR for verdict in verdicts)
     generated = len(candidates)

@@ -2,8 +2,9 @@
 pretty-printing, statement locations, splicing and fault-region
 derivation, and normalized AST equality.
 
-All operations are pure functions of their inputs and safe to call
-concurrently.
+All operations are pure functions of their inputs. `run_tests` and
+`interpret` set the process-wide recursion limit for each run, so they
+must not run in two threads at once.
 """
 
 from __future__ import annotations

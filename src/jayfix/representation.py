@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .minilang import SourceProgram, Span
 from .minilang.lexer import OPERATORS
-from .util import DataError, content_hash, read_text
+from .util import DataError, content_hash, read_text, write_json
 
 PAD, BOS, EOS, START_BUGGY, END_BUGGY, UNK = range(6)
 RESERVED_TOKENS = ["<pad>", "<s>", "</s>", "[START_BUGGY]", "[END_BUGGY]", "<unk>"]
@@ -135,8 +135,7 @@ class Vocabulary:
         return cls(sorted(pieces))
 
     def save(self, path: str | Path) -> None:
-        payload = {"format": VOCAB_FORMAT, "pieces": self.pieces}
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        write_json(path, {"format": VOCAB_FORMAT, "pieces": self.pieces})
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":

@@ -1,22 +1,17 @@
 """Small shared helpers: the data error, reading an input text file,
-canonical JSON, artifact files replaced by rename, stable hashing, seeded RNG derivation, and an
-order-preserving parallel map."""
+canonical JSON, artifact files replaced by rename, stable hashing and seeded RNG
+derivation."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, Sequence, TypeVar
+from typing import BinaryIO, Iterator
 
 import numpy as np
-
-T = TypeVar("T")
-R = TypeVar("R")
-
 
 class DataError(Exception):
     """Input that contradicts the data a run works on (exit code 2)."""
@@ -73,14 +68,6 @@ def derive_seed(*parts) -> int:
 
 def derive_rng(*parts) -> np.random.Generator:
     return np.random.default_rng(derive_seed(*parts))
-
-
-def parallel_map(fn: Callable[[T], R], items: Sequence[T], jobs: int = 1) -> list[R]:
-    """Map with optional thread fan-out; results always in input order."""
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def round_half_up(x: float) -> int:

@@ -273,6 +273,12 @@ MALFORMED_SUITES = {
     "a case without args": '[{"id": "t", "entry": "f"}]',
     "a case that is not an object": "[1]",
     "args that are not an array": '[{"id": "t", "entry": "f", "args": 5, "expect": 1}]',
+    "args that are a string": '[{"id": "t", "entry": "f", "args": "ab", "expect": 1}]',
+    "a string arg": '[{"id": "t", "entry": "f", "args": ["a"], "expect": 1}]',
+    "an array arg holding a string": '[{"id": "t", "entry": "f", "args": [[1, "z"]], "expect": 1}]',
+    "an array arg holding a bool": '[{"id": "t", "entry": "f", "args": [[true]], "expect": 1}]',
+    "an arg beyond int64": '[{"id": "t", "entry": "f", "args": [9223372036854775808], "expect": 1}]',
+    "a string expect": '[{"id": "t", "entry": "f", "args": [], "expect": "x"}]',
     "duplicate case ids": '[{"id": "t", "entry": "f", "args": [], "expect": 1}, '
     '{"id": "t", "entry": "f", "args": [], "expect": 1}]',
 }

@@ -388,7 +388,6 @@ def test_criterion_08_end_to_end_determinism(tmp_path):
     config = {
         "seed": 5,
         "corpus_dir": str(CORPUS),
-        "jobs": 1,
         "eval_k": 2,
         "per_location_cap": 1,
         "model_preset": "tiny",
@@ -445,7 +444,6 @@ def test_criterion_09_gen_bugs_certification(pipelines, world, tmp_path):
         "seed": 5,
         "corpus_dir": str(CORPUS),
         "work_dir": str(work),
-        "jobs": 1,
         "model_preset": "tiny",
         "loop": {"iterations": 1, "k_correct": 10, "k_buggy": 1, "critic_family": "tests"},
         "representation": {"context_lines": 3, "max_input_len": 160, "max_target_len": 48},

@@ -16,7 +16,6 @@ from jayfix.model import BeamScorer, TrainingDiverged
 
 MICRO_CONFIG = {
     "seed": 5,
-    "jobs": 1,
     "eval_k": 2,
     "per_location_cap": 1,
     "model_preset": "tiny",
@@ -199,6 +198,12 @@ def test_unknown_critic_is_usage_error(workspace):
     root, config_path = workspace
     code = main(["backtranslate", "--config", str(config_path), "--critic", "police"])
     assert code == EXIT_USAGE
+
+
+def test_jobs_flag_is_usage_error(capsys):
+    # candidates are judged in the calling thread; there is no worker count
+    assert main(["backtranslate", "--jobs", "2"]) == EXIT_USAGE
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_missing_store_is_data_error(tmp_path, request):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import fields
 
 import pytest
@@ -30,12 +31,11 @@ def test_flag_precedence_over_file(tmp_path):
     path.write_text(json.dumps({"seed": 3, "eval_k": 50, "loop": {"critic_family": "tests"}}))
     cfg = RunConfig.from_file(path)
     assert cfg.eval_k == 50
-    cfg.apply_overrides(seed=9, critic="none", iterations=5, beam=7, jobs=2)
+    cfg.apply_overrides(seed=9, critic="none", iterations=5, beam=7)
     assert cfg.seed == 9
     assert cfg.eval_k == 7
     assert cfg.loop_config().critic_family == "none"
     assert cfg.loop_config().iterations == 5
-    assert cfg.jobs == 2
 
 
 def test_desk_model_config_dimensions():
@@ -61,11 +61,21 @@ def test_bad_config_section_rejected(tmp_path):
         ({"model": {"d_modl": 8}}, "d_modl"),
         ({"train": {"epochs": 1}}, "epochs"),
         ({"representation": {"context": 2}}, "context"),
+        ({"jobs": 2}, "jobs"),
+        ({"loop": {"jobs": 2}}, "jobs"),
     ],
 )
 def test_unknown_config_key_rejected(raw, key):
     with pytest.raises(ValueError, match=key):
         RunConfig.from_json(raw)
+
+
+def test_resolved_config_does_not_depend_on_the_host(monkeypatch):
+    # the echo, and so the run id, must name the same run on every host
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    one = RunConfig().resolved_json(380)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert RunConfig().resolved_json(380) == one
 
 
 def test_resolved_config_reads_back():

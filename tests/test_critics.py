@@ -143,15 +143,6 @@ def test_filter_preserves_order(gcd):
     assert positions == sorted(positions)
 
 
-def test_filter_parallel_matches_serial(gcd):
-    batch = _mutant_batch(gcd)
-    kind = CriticKind(FAMILY_TESTS, POLARITY_BUGGY)
-    serial, counts_a = filter_candidates(kind, batch, gcd.suite, jobs=1)
-    threaded, counts_b = filter_candidates(kind, batch, gcd.suite, jobs=4)
-    assert [p.text for p, _, _ in serial] == [p.text for p, _, _ in threaded]
-    assert counts_a == counts_b
-
-
 def test_judgment_is_pure(gcd):
     bad = corrupted_gcd(gcd)
     kind = CriticKind(FAMILY_TESTS, POLARITY_BUGGY)

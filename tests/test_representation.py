@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jayfix import util
 from jayfix.minilang import SourceProgram, Span, enumerate_statement_locations
 from jayfix.representation import (
     END_BUGGY,
@@ -11,6 +14,7 @@ from jayfix.representation import (
     EOS,
     START_BUGGY,
     UNK,
+    VOCAB_FORMAT,
     RegionTooLong,
     RepresentationConfig,
     Vocabulary,
@@ -78,6 +82,31 @@ def test_vocab_save_load_roundtrip(tmp_path, vocab):
     assert loaded.sha() == vocab.sha()
     text = "fn main() -> int { return 42; }"
     assert loaded.encode(text) == vocab.encode(text)
+
+
+@pytest.mark.parametrize("pieces", [None, ["é", "ab"]], ids=["corpus", "non-ASCII"])
+def test_vocab_save_keeps_its_bytes(tmp_path, vocab, pieces):
+    vocab = vocab if pieces is None else Vocabulary(pieces)
+    vocab.save(tmp_path / "vocab.json")
+    # the bytes the hand-written writer produced before the save went through write_json
+    expected = json.dumps({"format": VOCAB_FORMAT, "pieces": vocab.pieces}, indent=2) + "\n"
+    assert (tmp_path / "vocab.json").read_bytes() == expected.encode("ascii")
+
+
+def test_interrupted_vocab_save_keeps_the_old_file(tmp_path, monkeypatch, vocab):
+    path = tmp_path / "vocab.json"
+    Vocabulary(["ab"]).save(path)
+    before = path.read_bytes()
+
+    def fail(*args, **kwargs):
+        raise OSError("interrupted")
+
+    monkeypatch.setattr(util.os, "replace", fail)
+    with pytest.raises(OSError, match="interrupted"):
+        vocab.save(path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["vocab.json"]
 
 
 # --- build_input ---------------------------------------------------------------

@@ -74,7 +74,6 @@ from pathlib import Path
 
 CRITERION8 = {
     "seed": 5,
-    "jobs": 1,
     "eval_k": 2,
     "per_location_cap": 1,
     "model_preset": "tiny",
