@@ -6,8 +6,11 @@ loading casts them to it once, so an older float64 checkpoint still
 loads. Round-tripping a model through save/load reproduces its outputs
 bit-for-bit on the same platform and dtype. Loading draws no random
 initialisation: the model is built from the stored arrays. A path that
-is a directory, or a file that is not a whole zip archive (truncated,
-or another format), raises DataError. Saving writes a temporary file and
+is a directory, a file that is not a whole zip archive (truncated, or
+another format), or a whole zip archive that is not a jayfix checkpoint
+(no metadata, another format version, metadata that is not UTF-8
+JSON, a config `ModelConfig` rejects, parameters that do not match it)
+raises DataError. Saving writes a temporary file and
 renames it into place, so a failed save leaves the old checkpoint whole.
 """
 
@@ -54,18 +57,23 @@ def load_checkpoint(path: str | Path) -> Seq2SeqModel:
         try:
             with np.load(fh) as archive:
                 if _META_KEY not in archive:
-                    raise ValueError(f"{path}: not a checkpoint (missing metadata)")
+                    raise DataError(f"{path}: not a checkpoint (missing metadata)")
                 meta = json.loads(bytes(archive[_META_KEY]).decode("utf-8"))
-                if meta.get("format") != CHECKPOINT_FORMAT:
-                    raise ValueError(f"{path}: unsupported checkpoint format {meta.get('format')}")
+                found = meta.get("format") if isinstance(meta, dict) else None
+                if found != CHECKPOINT_FORMAT:
+                    raise DataError(f"{path}: unsupported checkpoint format {found}")
                 config = ModelConfig(**meta["config"])
                 arrays = {
                     key[len("param/") :]: archive[key]
                     for key in archive.files
                     if key.startswith("param/")
                 }
+            model = Seq2SeqModel(config, arrays)
+            model.step = int(meta.get("step", 0))
         except zipfile.BadZipFile as err:
             raise DataError(f"{path}: damaged checkpoint ({err})") from err
-    model = Seq2SeqModel(config, arrays)
-    model.step = int(meta.get("step", 0))
+        except (ValueError, TypeError, KeyError) as err:
+            # metadata that is not UTF-8 JSON, a config that `ModelConfig`
+            # rejects, or parameters that do not match it
+            raise DataError(f"{path}: not a jayfix checkpoint ({err})") from err
     return model

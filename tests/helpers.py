@@ -126,13 +126,16 @@ def exhaustive_top_k(
 
 def mul(a: tape.Tensor, b) -> tape.Tensor:
     b_data = tape._as_array(b)
-    out_data = a.data * b_data
+    a_data = a.data
+    out_data = a_data * b_data
+    a_node = a.node
+    b_node = b.node if isinstance(b, tape.Tensor) else None
 
     def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate(tape._unbroadcast(grad * b_data, a.data.shape))
-        if isinstance(b, tape.Tensor) and b.requires_grad:
-            b.accumulate(tape._unbroadcast(grad * a.data, b.data.shape))
+        if a_node is not None:
+            a_node.accumulate(tape._unbroadcast(grad * b_data, a_data.shape))
+        if b_node is not None:
+            b_node.accumulate(tape._unbroadcast(grad * a_data, b_data.shape))
 
     parents = (a, b) if isinstance(b, tape.Tensor) else (a,)
     return tape._make(out_data, parents, backward)
@@ -143,11 +146,11 @@ def softmax(x: tape.Tensor, additive_mask: Optional[np.ndarray] = None) -> tape.
     scores = scores - scores.max(axis=-1, keepdims=True)
     exp = np.exp(scores)
     out_data = exp / exp.sum(axis=-1, keepdims=True)
+    x_node = x.node
 
     def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            dot = (grad * out_data).sum(axis=-1, keepdims=True)
-            x.accumulate((grad - dot) * out_data)
+        dot = (grad * out_data).sum(axis=-1, keepdims=True)
+        x_node.accumulate((grad - dot) * out_data)
 
     return tape._make(out_data, (x,), backward)
 

@@ -4,6 +4,7 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 from helpers import MALFORMED_SUITES
 
@@ -401,15 +402,41 @@ def test_written_fields_match_docs(workspace, tmp_path):
         assert _key_paths(json.loads((out_dir / f"{stem}.meta.json").read_text())) == documented_meta
 
 
-@pytest.mark.parametrize("broken", ["truncated", "directory"])
+def _edit_meta(arrays, edit):
+    """Rewrite a checkpoint's metadata JSON through `edit(meta)`."""
+    meta = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))
+    edit(meta)
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+
+
+# whole ZIP archives that are not jayfix checkpoints: each rewrites the
+# entries of a good one, given as {name: array}
+NOT_A_CHECKPOINT = {
+    "no metadata": lambda arrays: arrays.pop("__meta__"),
+    "unsupported format": lambda arrays: _edit_meta(arrays, lambda meta: meta.update(format=2)),
+    "metadata not UTF-8": lambda arrays: arrays.update(__meta__=np.frombuffer(b"\xff\xfe{}", dtype=np.uint8)),
+    "parameter names mismatch": lambda arrays: arrays.update({"param/out.c": arrays.pop("param/out.b")}),
+    "unknown config key": lambda arrays: _edit_meta(arrays, lambda meta: meta["config"].update(heads=2)),
+    "config ModelConfig rejects": lambda arrays: _edit_meta(arrays, lambda meta: meta["config"].update(n_heads=3)),
+}
+
+
+@pytest.mark.parametrize("broken", ["truncated", "directory", *NOT_A_CHECKPOINT])
 def test_evaluate_on_an_unreadable_checkpoint_is_data_error(workspace, tmp_path, capsys, broken):
     root, config_path = workspace
     model = tmp_path / "fixer.ckpt"
+    good = root / "work" / "init" / "fixer.ckpt"
     if broken == "truncated":
-        whole = (root / "work" / "init" / "fixer.ckpt").read_bytes()
+        whole = good.read_bytes()
         model.write_bytes(whole[: len(whole) // 2])
-    else:
+    elif broken == "directory":
         model.mkdir()
+    else:
+        with np.load(good) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        NOT_A_CHECKPOINT[broken](arrays)
+        with open(model, "wb") as fh:
+            np.savez(fh, **arrays)
     argv = ["evaluate", "--config", str(config_path), "--model", str(model), "--out", str(tmp_path / "eval")]
     assert main(argv) == EXIT_DATA
     err = capsys.readouterr().err

@@ -22,6 +22,7 @@ from jayfix.model import (
 )
 from jayfix.model.training import make_batch
 from jayfix.representation import BOS, EOS, N_RESERVED, PAD
+from jayfix.util import DataError
 
 VOCAB = 64
 
@@ -130,18 +131,18 @@ def test_training_and_decoding_stay_in_float32(monkeypatch):
     # float64 array (a mask, a dropout keep mask) computes in float64 and
     # hides it; record each op's output and each gradient before any cast
     produced = set()
-    make, accumulate = tape._make, tape.Tensor.accumulate
+    make, accumulate = tape._make, tape.Node.accumulate
 
     def recording_make(data, parents, backward):
         produced.add(data.dtype)
         return make(data, parents, backward)
 
-    def recording_accumulate(tensor, grad):
+    def recording_accumulate(node, grad):
         produced.add(grad.dtype)
-        accumulate(tensor, grad)
+        accumulate(node, grad)
 
     monkeypatch.setattr(tape, "_make", recording_make)
-    monkeypatch.setattr(tape.Tensor, "accumulate", recording_accumulate)
+    monkeypatch.setattr(tape.Node, "accumulate", recording_accumulate)
     model = Seq2SeqModel(dataclasses.replace(tiny_model().config, dropout=0.1))
     optimizer = AdamW(model, TrainConfig())
     src, tgt_in, tgt_out = make_batch(make_samples(2, width=10) + make_samples(2, seed=1, width=6))
@@ -313,7 +314,7 @@ def test_float64_checkpoint_loads_cast_once(tmp_path, monkeypatch):
 def test_checkpoint_rejects_wrong_files(tmp_path):
     path = tmp_path / "bogus.npz"
     np.savez(path, foo=np.zeros(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="missing metadata"):
         load_checkpoint(path)
 
 

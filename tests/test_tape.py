@@ -8,8 +8,11 @@ leading index at a time, summing the weight gradient over those indices
 afterwards, as `matmul` did before it folded the rows into one GEMM.
 Both run in float64 (the `float64` fixture).
 
-Gradients kept by `Tensor.accumulate` are checked against the
+Gradients kept by `Node.accumulate` are checked against the
 zero-filled buffers it used to add into.
+
+`tape.embedding`'s backward is checked bit for bit against the 2-D
+`np.add.at` it replaced.
 
 `tape.attention` is checked bit for bit against the chain of five tape
 ops it replaces (`helpers.unfused_attention`), in float32 and float64,
@@ -69,7 +72,7 @@ def test_folded_weight_matmul_matches_batched_matmul(case):
     b = tape.Tensor(rng.normal(size=(a_data.shape[-1], 7)), requires_grad=True)
     out = tape.matmul(a, b)
     grad = rng.normal(size=out.shape)
-    out._backward(grad)
+    out.node.backward(grad)
     expected_out, expected_ga, expected_gb = batched_reference(a_data, b.data, grad)
     assert out.shape == expected_out.shape and a.grad.shape == a_data.shape and b.grad.shape == b.data.shape
     assert out.data.dtype == a.grad.dtype == b.grad.dtype == np.float64
@@ -80,17 +83,17 @@ def test_folded_weight_matmul_matches_batched_matmul(case):
 
 # --- gradient ownership ----------------------------------------------------------
 #
-# `Tensor.accumulate` keeps the first gradient array a tensor is handed,
+# `Node.accumulate` keeps the first gradient array a node is handed,
 # without a copy, and adds any later one out of place. The array it
 # keeps may be another node's gradient (`add` hands the same array to
 # both parents) or a view of one (`reshape`, `transpose`), so no backward
 # may write into an array it was handed. The reference is `accumulate`
-# as it was: a zero-filled buffer per tensor, added into in place.
+# as it was: a zero-filled buffer per node, added into in place.
 
 
 def zero_buffer_accumulate(self, grad):
     if self.grad is None:
-        self.grad = np.zeros_like(self.data)
+        self.grad = np.zeros(grad.shape, dtype=grad.dtype)
     self.grad += grad
 
 
@@ -124,23 +127,25 @@ def run_graph(graph, shapes, seed, accumulate, monkeypatch):
     was handed to `accumulate` together with a copy taken when it was."""
     handed = []
 
-    def recording(tensor, grad):
+    def recording(node, grad):
         handed.append((grad, grad.copy()))
-        accumulate(tensor, grad)
+        accumulate(node, grad)
 
-    monkeypatch.setattr(tape.Tensor, "accumulate", recording)
+    monkeypatch.setattr(tape.Node, "accumulate", recording)
     rng = np.random.default_rng(seed)
     leaves = [tape.Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
     out = graph(leaves)
     tape.backward(out)
-    return [leaf.grad for leaf in leaves] + [out.grad], handed
+    tensors = leaves + [out]
+    assert all(tensor.grad.shape == tensor.shape for tensor in tensors)
+    return [tensor.grad for tensor in tensors], handed
 
 
 @pytest.mark.usefixtures("float64")
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_kept_gradients_equal_zero_buffer_accumulation(name, monkeypatch):
     graph, shapes = GRAPHS[name]
-    ours, handed = run_graph(graph, shapes, 1, tape.Tensor.accumulate, monkeypatch)
+    ours, handed = run_graph(graph, shapes, 1, tape.Node.accumulate, monkeypatch)
     theirs, _ = run_graph(graph, shapes, 1, zero_buffer_accumulate, monkeypatch)
     for a, b in zip(ours, theirs):
         assert a.shape == b.shape and np.array_equal(a, b)
@@ -154,22 +159,61 @@ def test_model_gradients_equal_zero_buffer_accumulation(monkeypatch):
     config = dataclasses.replace(micro_config(seed=2), dropout=0.1)
     batch = _random_batch(config, np.random.default_rng(3), n=3)
     grads = []
-    for accumulate in (tape.Tensor.accumulate, zero_buffer_accumulate):
+    for accumulate in (tape.Node.accumulate, zero_buffer_accumulate):
         handed = []
 
-        def recording(tensor, grad, accumulate=accumulate):
+        def recording(node, grad, accumulate=accumulate):
             handed.append((grad, grad.copy()))
-            accumulate(tensor, grad)
+            accumulate(node, grad)
 
-        monkeypatch.setattr(tape.Tensor, "accumulate", recording)
+        monkeypatch.setattr(tape.Node, "accumulate", recording)
         model = Seq2SeqModel(config)
         tape.backward(model.loss(*batch, train=True, rng=np.random.default_rng(4)))
         assert all(np.array_equal(array, copy) for array, copy in handed)
+        assert all(param.grad.shape == param.shape for param in model.params.values())
         grads.append({name: param.grad for name, param in model.params.items()})
     ours, theirs = grads
     assert ours.keys() == theirs.keys()
     for name in ours:
         assert np.array_equal(ours[name], theirs[name]), name
+
+
+# --- embedding backward ----------------------------------------------------------
+#
+# `tape.embedding` adds its gradient rows into the flat table with a 1-D
+# index, numpy's fast path for `np.add.at`. The reference is the 2-D
+# `np.add.at(acc, ids, grad)` it replaces: each cell must get the same
+# float sum, its rows added in the same order.
+
+EMBEDDING_IDS = {
+    "one id 300 times": lambda rng: rng.permutation(np.concatenate([np.full(300, 7), rng.integers(0, 380, 200)])),
+    "all rows one id": lambda rng: np.full(500, 3),
+    "2-D ids": lambda rng: rng.integers(0, 380, size=(16, 33)),
+    "position ids": lambda rng: np.nonzero(np.arange(132) < rng.integers(1, 133, size=(16, 1)))[1],
+    "Zipf ids": lambda rng: np.minimum(rng.zipf(1.3, size=2000), 380) - 1,
+}
+
+
+@pytest.mark.parametrize("contiguous", [True, False], ids=["contiguous", "transposed"])
+@pytest.mark.parametrize("width", [64, 128])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", sorted(EMBEDDING_IDS))
+def test_embedding_backward_equals_two_dimensional_add_at_bit_for_bit(case, dtype, width, contiguous, monkeypatch):
+    monkeypatch.setattr(tape, "DTYPE", dtype)
+    rng = np.random.default_rng(sorted(EMBEDDING_IDS).index(case))
+    ids = EMBEDDING_IDS[case](rng)
+    table = tape.Tensor(rng.normal(size=(380, width)), requires_grad=True)
+    out = tape.embedding(table, ids)
+    assert np.array_equal(out.data, table.data[ids])
+    if contiguous:
+        grad = rng.normal(size=out.shape).astype(dtype)
+    else:
+        grad = np.swapaxes(rng.normal(size=out.shape[::-1]).astype(dtype), 0, -1)
+    out.node.backward(grad)
+    expected = np.zeros((380, width), dtype=dtype)
+    np.add.at(expected, ids, grad)
+    assert table.grad.dtype == dtype and table.grad.shape == expected.shape
+    assert table.grad.tobytes() == expected.tobytes()
 
 
 # --- fused attention ---------------------------------------------------------------
@@ -230,7 +274,7 @@ def test_attention_keeps_only_its_weights_and_a_boolean_keep_mask(p):
     rng = np.random.default_rng(0)
     q, k, v = (tape.Tensor(rng.normal(size=(2, 2, 5, 4)), requires_grad=True) for _ in range(3))
     out = tape.attention(q, k, v, 0.5, None, p, np.random.default_rng(1), True)
-    saved = [cell.cell_contents for cell in out._backward.__closure__]
+    saved = [cell.cell_contents for cell in out.node.backward.__closure__]
     scores = [array for array in saved if isinstance(array, np.ndarray) and array.shape == (2, 2, 5, 5)]
     assert sorted(array.dtype.name for array in scores) == (["bool", "float32"] if p else ["float32"])
 
@@ -240,22 +284,23 @@ def test_attention_keeps_only_its_weights_and_a_boolean_keep_mask(p):
 
 def keeping_backward(loss):
     """`backward` as it was: the same walk, leaving the graph alive."""
-    topo, visited, stack = [], set(), [(loss, False)]
+    root = loss.node
+    topo, visited, stack = [], set(), [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
             topo.append(node)
             continue
-        if id(node) in visited or not node.requires_grad:
+        if id(node) in visited:
             continue
         visited.add(id(node))
         stack.append((node, True))
-        for parent in node._parents:
+        for parent in node.parents:
             stack.append((parent, False))
-    loss.grad = np.ones_like(loss.data)
+    root.grad = np.ones_like(loss.data)
     for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+        if node.backward is not None and node.grad is not None:
+            node.backward(node.grad)
     return topo
 
 
@@ -267,10 +312,11 @@ def test_backward_frees_the_graph_and_keeps_the_leaf_gradients():
         w = tape.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
         hidden = tape.relu(tape.matmul(x, w))
         out = tape.add(mul(hidden, hidden), tape.matmul(hidden, w))
-        node = weakref.ref(hidden)
+        node, value = weakref.ref(hidden.node), weakref.ref(hidden.data)
         del hidden
+        assert node() is not None and value() is not None  # `mul` and `matmul` read the value
         kept = walk(out)
-        assert (node() is None) == (walk is tape.backward)
+        assert (node() is None) == (value() is None) == (walk is tape.backward)
         assert out.grad is not None  # the root keeps its seed
         grads.append((x.grad, w.grad))
         del kept
@@ -288,7 +334,7 @@ def test_model_backward_frees_every_attention_node(monkeypatch):
 
         def recording(*args):
             out = attention(*args)
-            nodes.append(weakref.ref(out))
+            nodes.append(weakref.ref(out.node))
             return out
 
         monkeypatch.setattr(tape, "attention", recording)
@@ -302,6 +348,106 @@ def test_model_backward_frees_every_attention_node(monkeypatch):
     ours, theirs = grads
     for name in ours:
         assert np.array_equal(ours[name], theirs[name]), name
+
+
+# --- the graph keeps only what backward reads -------------------------------------
+#
+# A node holds its parents' nodes, never their tensors, and each backward
+# closure captures only the arrays it reads. A forward value that no
+# backward reads dies with its tensor; an operand that one reads lives
+# until that backward has run.
+
+# ops whose backward reads nothing of its input's value, on a (6, 8) input
+CHAINS = {
+    "add": [],
+    "relu": [tape.relu],
+    "dropout": [lambda h: tape.dropout(h, 0.5, np.random.default_rng(0), True)],
+    "reshape": [lambda h: tape.reshape(h, (3, 2, 8)), lambda h: tape.reshape(h, (6, 8))],
+    "relu, dropout, reshape": [
+        tape.relu,
+        lambda h: tape.dropout(h, 0.5, np.random.default_rng(0), True),
+        lambda h: tape.reshape(h, (3, 2, 8)),
+        lambda h: tape.reshape(h, (6, 8)),
+    ],
+}
+
+
+@pytest.mark.parametrize("chain", sorted(CHAINS))
+def test_a_value_no_backward_reads_dies_with_its_tensor(chain):
+    rng = np.random.default_rng(12)
+    x, w, b = (tape.Tensor(rng.normal(size=shape), requires_grad=True) for shape in ((6, 4), (4, 8), (8,)))
+    h = tape.matmul(x, w)
+    values = [weakref.ref(h.data)]
+    for op in CHAINS[chain]:
+        h = op(h)
+        values.append(weakref.ref(h.data))
+    out = tape.add(h, b)  # `add` reads no value
+    assert values[-1]() is not None
+    del h
+    assert [value() for value in values] == [None] * len(values)
+    tape.backward(out)
+    assert x.grad.shape == x.shape and w.grad.shape == w.shape and b.grad.shape == b.shape
+
+
+@pytest.mark.parametrize("x_shape", [(10, 4), (2, 5, 4)], ids=["2-D", "folded"])
+def test_the_operands_of_matmul_and_attention_live_until_backward(x_shape):
+    rng = np.random.default_rng(13)
+    x = tape.Tensor(rng.normal(size=x_shape), requires_grad=True)
+    wq, wk, wv, wo = (tape.Tensor(rng.normal(size=(4, 4)), requires_grad=True) for _ in range(4))
+    q, k, v = (tape.relu(tape.matmul(x, w)) for w in (wq, wk, wv))
+    context = tape.attention(q, k, v, 0.5, None, 0.1, np.random.default_rng(1), True)
+    out = tape.matmul(context, wo)
+    operands = [weakref.ref(t.data) for t in (q, k, v, context)]
+    del q, k, v, context
+    assert all(operand() is not None for operand in operands)
+    tape.backward(out)
+    assert [operand() for operand in operands] == [None] * 4
+
+
+# the arrays each op's backward captures, by name, with their dtype kind;
+# besides them it captures its parents' nodes, shapes, dtypes, scalars and `Rows`
+SAVED = {
+    "add": {},
+    "matmul": {"a_data": "f", "b_data": "f"},  # `rows` for `a_data` when folded
+    "attention": {"weights": "f", "keep": "b", "q_data": "f", "v_data": "f", "k_t": "f", "scale": "f"},
+    "layer_norm": {"normed": "f", "inv_std": "f", "gain_data": "f"},
+    "relu": {"mask": "b"},
+    "dropout": {"keep": "b"},
+    "cross_entropy": {"log_probs": "f", "targets": "i", "mask": "b"},
+    "reshape": {},
+    "transpose": {"inverse": "i"},
+    "gather_rows": {},
+    "scatter_rows": {},
+    "embedding": {"ids": "i"},
+}
+
+
+CAPTURED_TYPES = (tape.Node, np.ndarray, tape.Rows, tuple, int, float, np.dtype)
+
+
+def test_a_desk_training_graph_keeps_only_what_backward_reads():
+    config = ModelConfig.desk(vocab_size=40)
+    assert config.dropout == 0.1
+    model = Seq2SeqModel(config)
+    loss = model.loss(*_random_batch(config, np.random.default_rng(14), n=3), train=True,
+                      rng=np.random.default_rng(15))
+    seen, stack, ops = set(), [loss.node], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node.backward is None:
+            continue
+        seen.add(id(node))
+        stack.extend(node.parents)
+        op = node.backward.__qualname__.split(".")[0]
+        ops.add(op)
+        captured = dict(zip(node.backward.__code__.co_freevars,
+                            (cell.cell_contents for cell in node.backward.__closure__)))
+        arrays = {name: value.dtype.kind for name, value in captured.items() if isinstance(value, np.ndarray)}
+        assert arrays == SAVED[op], op
+        for name, value in captured.items():
+            assert value is None or isinstance(value, CAPTURED_TYPES), (op, name)
+            assert not isinstance(value, tuple) or all(isinstance(size, int) for size in value), (op, name)
+    assert ops == set(SAVED)
 
 
 def test_adamw_steps_through_fused_attention_equal_the_unfused_chain(monkeypatch):
